@@ -18,6 +18,7 @@ import (
 // Server exposes a Registry over an HTTP JSON API:
 //
 //	POST /predict          {"model": "butterfly", "features": [ ... N floats ]}
+//	                         (body capped at maxPredictBody, 413 above it)
 //	GET  /models           → registered models
 //	GET  /stats            → per-model serving stats + program-cache counters
 //	GET  /metrics          → Prometheus text exposition of the obs registry
@@ -104,8 +105,14 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	t0 := time.Now()
-	var req PredictRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	req, err := readPredict(w, r)
+	if err != nil {
+		// ReadFrom returns the reader's error unwrapped.
+		if tooBig, ok := err.(*http.MaxBytesError); ok {
+			s.writeJSON(w, http.StatusRequestEntityTooLarge,
+				errorBody{fmt.Sprintf("request body exceeds %d bytes", tooBig.Limit)})
+			return
+		}
 		s.writeJSON(w, http.StatusBadRequest, errorBody{fmt.Sprintf("bad request body: %v", err)})
 		return
 	}
@@ -137,6 +144,10 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 	wstart := time.Now()
 	switch {
 	case err == nil:
+		// The worker has copied the row into its batch matrix. On error
+		// the slice is dropped instead: an abandoned request may still
+		// be read by a worker.
+		putFeatures(req.Features)
 		s.writeJSON(w, http.StatusOK, pred)
 	case errors.Is(err, ErrStopped):
 		s.writeJSON(w, http.StatusServiceUnavailable, errorBody{err.Error()})

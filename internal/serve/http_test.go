@@ -2,13 +2,19 @@ package serve
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
+	"math"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"strings"
+	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/nn"
+	"repro/internal/tensor"
 )
 
 func testServer(t *testing.T) (*httptest.Server, *Registry) {
@@ -79,13 +85,20 @@ func TestHTTPPredictErrors(t *testing.T) {
 		t.Fatalf("wrong width status = %d, want 400", resp.StatusCode)
 	}
 
-	r, err := http.Post(ts.URL+"/predict", "application/json", bytes.NewReader([]byte("{not json")))
-	if err != nil {
-		t.Fatal(err)
-	}
-	r.Body.Close()
-	if r.StatusCode != http.StatusBadRequest {
-		t.Fatalf("bad json status = %d, want 400", r.StatusCode)
+	valid := string(marshalRequest(t, "m", make([]float32, 64)))
+	for name, body := range map[string]string{
+		"bad json":         "{not json",
+		"trailing garbage": valid + "garbage",
+		"second object":    valid + ` {"model":"m"}`,
+	} {
+		r, err := http.Post(ts.URL+"/predict", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		r.Body.Close()
+		if r.StatusCode != http.StatusBadRequest {
+			t.Fatalf("%s status = %d, want 400", name, r.StatusCode)
+		}
 	}
 
 	g, err := http.Get(ts.URL + "/predict")
@@ -96,6 +109,93 @@ func TestHTTPPredictErrors(t *testing.T) {
 	if g.StatusCode != http.StatusMethodNotAllowed {
 		t.Fatalf("GET /predict status = %d, want 405", g.StatusCode)
 	}
+}
+
+// TestHTTPPredictBodyTooLarge checks a body past maxPredictBody gets a 413
+// with a JSON error body, and that a body at the cap is read in full.
+func TestHTTPPredictBodyTooLarge(t *testing.T) {
+	reg := NewRegistry(Options{})
+	t.Cleanup(reg.Close)
+	srv := NewServer(reg)
+	for _, tc := range []struct {
+		size int
+		code int
+	}{
+		{maxPredictBody + 1, http.StatusRequestEntityTooLarge},
+		{maxPredictBody, http.StatusBadRequest}, // all whitespace: no JSON value
+	} {
+		req := httptest.NewRequest(http.MethodPost, "/predict", bytes.NewReader(bytes.Repeat([]byte(" "), tc.size)))
+		w := httptest.NewRecorder()
+		srv.ServeHTTP(w, req)
+		if w.Code != tc.code {
+			t.Fatalf("%d-byte body: status = %d, want %d", tc.size, w.Code, tc.code)
+		}
+		var eb errorBody
+		if err := json.NewDecoder(w.Body).Decode(&eb); err != nil || eb.Error == "" {
+			t.Fatalf("%d-byte body: error body %q (%v)", tc.size, w.Body.String(), err)
+		}
+	}
+}
+
+// TestHTTPPredictConcurrentPooled sends distinct rows from several
+// goroutines, some on contexts cancelled while queued, and checks every
+// answered row bit for bit against a direct forward pass. Under -race it
+// catches a pooled feature slice reused while a worker still reads it.
+func TestHTTPPredictConcurrentPooled(t *testing.T) {
+	reg := testRegistry(t)
+	sp := spec("bfly", nn.Butterfly)
+	if _, err := reg.Register(sp); err != nil {
+		t.Fatal(err)
+	}
+	srv := NewServer(reg)
+	ref := nn.BuildSHL(sp.Method, sp.N, sp.Classes, rand.New(rand.NewSource(sp.Seed)))
+	const goroutines, perG = 8, 40
+	x := tensor.New(goroutines*perG, sp.N)
+	x.FillRandom(rand.New(rand.NewSource(5)), 1)
+	want := ref.Forward(x)
+	bodies := make([][]byte, x.Rows)
+	for row := range bodies {
+		bodies[row] = marshalRequest(t, sp.Name, x.Row(row))
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < perG; i++ {
+				row := g*perG + i
+				req := httptest.NewRequest(http.MethodPost, "/predict", bytes.NewReader(bodies[row]))
+				cancel := context.CancelFunc(func() {})
+				cancelled := i%4 == 3
+				if cancelled {
+					var ctx context.Context
+					ctx, cancel = context.WithTimeout(req.Context(), time.Duration(i*10)*time.Microsecond)
+					req = req.WithContext(ctx)
+				}
+				w := httptest.NewRecorder()
+				srv.ServeHTTP(w, req)
+				cancel()
+				if w.Code != http.StatusOK {
+					if !cancelled {
+						t.Errorf("status %d: %s", w.Code, w.Body)
+					}
+					continue
+				}
+				var pred Prediction
+				if err := json.NewDecoder(w.Body).Decode(&pred); err != nil {
+					t.Error(err)
+					return
+				}
+				for j, v := range pred.Scores {
+					if math.Float32bits(v) != math.Float32bits(want.At(row, j)) {
+						t.Errorf("row %d: score[%d] = %v, want %v", row, j, v, want.At(row, j))
+						return
+					}
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
 }
 
 func TestHTTPModelsAndStats(t *testing.T) {
