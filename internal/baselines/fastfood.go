@@ -78,20 +78,24 @@ func scaleRowsInto(out, x *tensor.Matrix, d []float32) {
 	}
 }
 
+// fwhtRows returns the orthonormal Walsh–Hadamard transform of every row
+// of x through the scalar hadamard.Transform — the oracle path Forward,
+// Apply and Backward take.
 func fwhtRows(x *tensor.Matrix) *tensor.Matrix {
 	out := x.Clone()
-	fwhtRowsInPlace(out)
+	fwhtRowsInPlace(out, hadamard.Transform)
 	return out
 }
 
 // fwhtRowsInPlace applies the orthonormal Walsh–Hadamard transform to
-// every row of x in place — the same per-row operations fwhtRows performs
-// on its copy.
-func fwhtRowsInPlace(x *tensor.Matrix) {
+// every row of x in place, running the unnormalized transform through
+// fwht (hadamard.Transform or its bit-identical radix-8 TransformFast)
+// and then scaling by 1/√n.
+func fwhtRowsInPlace(x *tensor.Matrix, fwht func([]float32)) {
 	inv := float32(1 / math.Sqrt(float64(x.Cols)))
 	for r := 0; r < x.Rows; r++ {
 		row := x.Row(r)
-		hadamard.Transform(row)
+		fwht(row)
 		for i := range row {
 			row[i] *= inv
 		}
@@ -158,7 +162,8 @@ func (f *Fastfood) Apply(x *tensor.Matrix) *tensor.Matrix {
 
 // ApplyInto is Apply writing into caller-owned dst (shape x.Rows×N, fully
 // overwritten), running the S·Ĥ·G·Π·Ĥ·B pipeline through two workspace
-// buffers with in-place FWHTs. Each step performs the same arithmetic as
+// buffers with in-place FWHTs on the radix-8 micro-kernel
+// (hadamard.TransformFast). Each step performs the same arithmetic as
 // Apply, so the result is bit-for-bit equal. dst must not alias x. It is
 // the nil-epilogue form of ApplyIntoEpilogue — one implementation, one
 // contract.
@@ -170,7 +175,7 @@ func (f *Fastfood) ApplyInto(dst, x *tensor.Matrix, ws *tensor.Workspace) {
 // folded into the final S-diagonal scaling — the last stage that writes
 // dst — so the output leaves cache finished. act(S⊙u + bias) is computed
 // with the same float32 chain as separate sweeps, so the result is
-// bit-for-bit act(ApplyInto(x) + bias). bias may be nil.
+// bit-for-bit act(Apply(x) + bias). bias may be nil.
 func (f *Fastfood) ApplyIntoEpilogue(dst, x *tensor.Matrix, ws *tensor.Workspace, bias []float32, act tensor.Activation) {
 	if x.Cols != f.N {
 		panic(fmt.Sprintf("baselines: Fastfood input width %d != %d", x.Cols, f.N))
@@ -184,10 +189,10 @@ func (f *Fastfood) ApplyIntoEpilogue(dst, x *tensor.Matrix, ws *tensor.Workspace
 	u := ws.Take(x.Rows, f.N)
 	v := ws.Take(x.Rows, f.N)
 	scaleRowsInto(u, x, f.B)
-	fwhtRowsInPlace(u)
+	fwhtRowsInPlace(u, hadamard.TransformFast)
 	permuteRowsInto(v, u, f.Perm)
 	scaleRowsInto(u, v, f.G)
-	fwhtRowsInPlace(u)
+	fwhtRowsInPlace(u, hadamard.TransformFast)
 	for r := 0; r < x.Rows; r++ {
 		src := u.Row(r)
 		out := dst.Row(r)
@@ -199,6 +204,16 @@ func (f *Fastfood) ApplyIntoEpilogue(dst, x *tensor.Matrix, ws *tensor.Workspace
 			out[i] = act.Apply(val)
 		}
 	}
+}
+
+// MicroVariant names the kernel variant the plan compiler stamps into
+// step metadata for fastfood steps: "radix8" once the transform is wide
+// enough for the radix-8 pass to engage.
+func (f *Fastfood) MicroVariant() string {
+	if f.N >= 8 {
+		return "radix8"
+	}
+	return "reference"
 }
 
 // Backward accumulates diagonal gradients and returns dX. Ĥ is symmetric,

@@ -9,8 +9,9 @@ import (
 )
 
 // TestFastfoodApplyIntoMicroMatchesReference checks the radix-8 FWHT
-// apply path against the reference chain, bit-for-bit, across sizes
-// spanning the n<8 fallback and the chunked regime.
+// apply path against the allocating Apply (scalar FWHT) followed by the
+// bias/activation sweep, bit-for-bit, across sizes spanning the n<8 case
+// and the chunked regime, with and without bias.
 func TestFastfoodApplyIntoMicroMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(51))
 	for _, n := range []int{4, 8, 64, 1024} {
@@ -25,21 +26,21 @@ func TestFastfoodApplyIntoMicroMatchesReference(t *testing.T) {
 			for i := range bias {
 				bias[i] = rng.Float32()*2 - 1
 			}
-			want := tensor.New(rows, n)
+			lin := f.Apply(x)
 			got := tensor.New(rows, n)
 
 			ws.Reset()
-			f.ApplyInto(want, x, ws)
-			ws.Reset()
-			f.ApplyIntoMicro(got, x, ws)
-			assertFastfoodSame(t, fmt.Sprintf("n=%d rows=%d ApplyIntoMicro", n, rows), want, got)
+			f.ApplyInto(got, x, ws)
+			assertFastfoodSame(t, fmt.Sprintf("n=%d rows=%d ApplyInto", n, rows), lin, got)
 
 			for _, act := range []tensor.Activation{tensor.ActNone, tensor.ActReLU} {
-				ws.Reset()
-				f.ApplyIntoEpilogue(want, x, ws, bias, act)
-				ws.Reset()
-				f.ApplyIntoEpilogueMicro(got, x, ws, bias, act)
-				assertFastfoodSame(t, fmt.Sprintf("n=%d rows=%d epilogue/%v", n, rows, act), want, got)
+				for _, bv := range [][]float32{bias, nil} {
+					want := tensor.New(rows, n)
+					tensor.ApplyBiasActInto(want, lin, bv, act)
+					ws.Reset()
+					f.ApplyIntoEpilogue(got, x, ws, bv, act)
+					assertFastfoodSame(t, fmt.Sprintf("n=%d rows=%d epilogue/bias=%t/%v", n, rows, bv != nil, act), want, got)
+				}
 			}
 		}
 	}

@@ -264,8 +264,9 @@ func (b *Butterfly) Apply(x *tensor.Matrix) *tensor.Matrix {
 
 // ApplyInto is Apply writing into caller-owned dst (shape x.Rows×N, fully
 // overwritten), ping-ponging the stage sweep between dst and one workspace
-// scratch buffer instead of allocating a fresh matrix per factor. The
-// arithmetic per stage is identical to Apply, so the result is bit-for-bit
+// scratch buffer instead of allocating a fresh matrix per factor. Each
+// stage runs through the unrolled sweeps in kernel.go, which compute every
+// output element with Apply's expression, so the result is bit-for-bit
 // equal. dst must not alias x. It is the nil-epilogue form of
 // ApplyIntoEpilogue — one implementation, one contract.
 func (b *Butterfly) ApplyInto(dst, x *tensor.Matrix, ws *tensor.Workspace) {
@@ -278,16 +279,9 @@ func (b *Butterfly) ApplyInto(dst, x *tensor.Matrix, ws *tensor.Workspace) {
 // reswept by two more arena passes. The linear value entering the epilogue
 // is produced by exactly ApplyInto's arithmetic, and act(v + bias) is the
 // same float32 chain as separate sweeps, so the result is bit-for-bit
-// act(ApplyInto(x) + bias). bias may be nil; a factorless butterfly (N=1)
+// act(Apply(x) + bias). bias may be nil; a factorless butterfly (N=1)
 // degenerates to the permutation plus a post-sweep.
 func (b *Butterfly) ApplyIntoEpilogue(dst, x *tensor.Matrix, ws *tensor.Workspace, bias []float32, act tensor.Activation) {
-	b.applyIntoEpilogue(dst, x, ws, bias, act, false)
-}
-
-// applyIntoEpilogue is the shared ping-pong driver behind the reference
-// and micro-kernel entry points; micro selects the unrolled sweeps
-// (bit-for-bit equal, see micro.go).
-func (b *Butterfly) applyIntoEpilogue(dst, x *tensor.Matrix, ws *tensor.Workspace, bias []float32, act tensor.Activation, micro bool) {
 	if x.Cols != b.N {
 		panic(fmt.Sprintf("butterfly: input width %d != N %d", x.Cols, b.N))
 	}
@@ -311,21 +305,14 @@ func (b *Butterfly) applyIntoEpilogue(dst, x *tensor.Matrix, ws *tensor.Workspac
 	}
 	b.applyPermRowsInto(cur, x)
 	for _, f := range b.Factors[:len(b.Factors)-1] {
-		if micro {
-			applyFactorRowsMicro(f, cur, other)
-		} else {
-			applyFactorRows(f, cur, other)
-		}
+		factorRows(f, cur, other)
 		cur, other = other, cur
 	}
-	last := b.Factors[len(b.Factors)-1]
-	if micro {
-		applyFactorRowsEpilogueMicro(last, cur, other, bias, act)
-	} else {
-		applyFactorRowsEpilogue(last, cur, other, bias, act)
-	}
+	factorRowsEpilogue(b.Factors[len(b.Factors)-1], cur, other, bias, act)
 }
 
+// applyFactorRows is the scalar pairs sweep behind Forward and Apply — the
+// oracle the unrolled sweeps in kernel.go are pinned against.
 func applyFactorRows(f *Factor, in, out *tensor.Matrix) {
 	half := 1 << (f.Stage - 1)
 	block := half << 1
@@ -341,36 +328,6 @@ func applyFactorRows(f *Factor, in, out *tensor.Matrix) {
 				xt, xb := src[top], src[bot]
 				dst[top] = f.A[p]*xt + f.B[p]*xb
 				dst[bot] = f.C[p]*xt + f.D[p]*xb
-				p++
-			}
-		}
-	}
-}
-
-// applyFactorRowsEpilogue is applyFactorRows for the final stage of a
-// fused layer: each pair's two outputs get the bias added and the
-// activation applied the moment they are computed. bias may be nil.
-func applyFactorRowsEpilogue(f *Factor, in, out *tensor.Matrix, bias []float32, act tensor.Activation) {
-	half := 1 << (f.Stage - 1)
-	block := half << 1
-	n := f.N
-	for r := 0; r < in.Rows; r++ {
-		src := in.Row(r)
-		dst := out.Row(r)
-		p := 0
-		for start := 0; start < n; start += block {
-			for k := 0; k < half; k++ {
-				top := start + k
-				bot := top + half
-				xt, xb := src[top], src[bot]
-				vt := f.A[p]*xt + f.B[p]*xb
-				vb := f.C[p]*xt + f.D[p]*xb
-				if bias != nil {
-					vt += bias[top]
-					vb += bias[bot]
-				}
-				dst[top] = act.Apply(vt)
-				dst[bot] = act.Apply(vb)
 				p++
 			}
 		}

@@ -4,32 +4,22 @@ import (
 	"repro/internal/tensor"
 )
 
-// Micro-kernel pairs sweeps: the same per-pair rank-one arithmetic as
-// applyFactorRows/applyFactorRowsEpilogue, restructured so the Go
-// compiler can eliminate bounds checks and keep the coefficient streams
-// in registers. Early stages (half ∈ {1,2,4}) get fully unrolled blocks;
+// Pairs sweeps behind ApplyInto/ApplyIntoEpilogue: the same per-pair
+// rank-one arithmetic as applyFactorRows, restructured so the Go compiler
+// can eliminate bounds checks and keep the coefficient streams in
+// registers. Early stages (half ∈ {1,2,4}) get fully unrolled blocks;
 // wider stages hoist every slice header to a common length so the inner
 // pair loop is check-free. Each output element is produced by the exact
-// reference expression (A·xt + B·xb etc.), so results are bit-identical.
+// expression applyFactorRows uses (A·xt + B·xb etc.), so results are
+// bit-identical to Apply.
 
-// ApplyIntoMicro is ApplyInto through the unrolled sweeps.
-func (b *Butterfly) ApplyIntoMicro(dst, x *tensor.Matrix, ws *tensor.Workspace) {
-	b.applyIntoEpilogue(dst, x, ws, nil, tensor.ActNone, true)
-}
-
-// ApplyIntoEpilogueMicro is ApplyIntoEpilogue through the unrolled
-// sweeps.
-func (b *Butterfly) ApplyIntoEpilogueMicro(dst, x *tensor.Matrix, ws *tensor.Workspace, bias []float32, act tensor.Activation) {
-	b.applyIntoEpilogue(dst, x, ws, bias, act, true)
-}
-
-// MicroVariant names the kernel variant the plan dispatcher stamps into
-// step metadata when this transform compiles through the micro path.
+// MicroVariant names the kernel variant the plan compiler stamps into
+// step metadata for butterfly steps.
 func (b *Butterfly) MicroVariant() string { return "unrolled" }
 
-// applyFactorRowsMicro dispatches one stage sweep to the specialized
-// kernel for its pair distance.
-func applyFactorRowsMicro(f *Factor, in, out *tensor.Matrix) {
+// factorRows dispatches one stage sweep to the specialized kernel for its
+// pair distance.
+func factorRows(f *Factor, in, out *tensor.Matrix) {
 	switch f.Stage {
 	case 1:
 		factorRowsHalf1(f, in, out)
@@ -42,13 +32,14 @@ func applyFactorRowsMicro(f *Factor, in, out *tensor.Matrix) {
 	}
 }
 
-// applyFactorRowsEpilogueMicro is the fused-tail form. The final factor
-// of a butterfly is its widest stage, so the wide kernel carries the
-// inline epilogue; the rare narrow cases (N < 16) fall back to the
-// reference epilogue sweep, which is bit-identical by construction.
-func applyFactorRowsEpilogueMicro(f *Factor, in, out *tensor.Matrix, bias []float32, act tensor.Activation) {
+// factorRowsEpilogue is the fused-tail form. The final factor of a
+// butterfly is its widest stage, so the wide kernel carries the inline
+// epilogue; the rare narrow cases (N < 16) sweep first and finish with
+// one bias/activation pass, the same float32 chain.
+func factorRowsEpilogue(f *Factor, in, out *tensor.Matrix, bias []float32, act tensor.Activation) {
 	if f.Stage < 4 {
-		applyFactorRowsEpilogue(f, in, out, bias, act)
+		factorRows(f, in, out)
+		tensor.ApplyBiasActInto(out, out, bias, act)
 		return
 	}
 	factorRowsWideEpilogue(f, in, out, bias, act)
@@ -177,7 +168,7 @@ func factorRowsWide(f *Factor, in, out *tensor.Matrix) {
 }
 
 // factorRowsWideEpilogue is factorRowsWide with the fused bias/act tail
-// applied per pair, exactly as applyFactorRowsEpilogue does.
+// applied to each pair's two outputs the moment they are computed.
 func factorRowsWideEpilogue(f *Factor, in, out *tensor.Matrix, bias []float32, act tensor.Activation) {
 	half := 1 << (f.Stage - 1)
 	block := half << 1

@@ -9,7 +9,7 @@ import (
 )
 
 // TestMicroSweepsMatchReference checks every specialized stage kernel
-// against the reference pairs sweep, bit-for-bit, across sizes that put
+// against the scalar oracle sweep, bit-for-bit, across sizes that put
 // each stage through the half ∈ {1,2,4} unrolls and the wide path.
 func TestMicroSweepsMatchReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
@@ -24,7 +24,7 @@ func TestMicroSweepsMatchReference(t *testing.T) {
 				want := tensor.New(rows, n)
 				got := tensor.New(rows, n)
 				applyFactorRows(f, x, want)
-				applyFactorRowsMicro(f, x, got)
+				factorRows(f, x, got)
 				for i := range want.Data {
 					if want.Data[i] != got.Data[i] {
 						t.Fatalf("n=%d stage=%d rows=%d: data[%d] = %v, want %v",
@@ -36,9 +36,11 @@ func TestMicroSweepsMatchReference(t *testing.T) {
 	}
 }
 
-// TestApplyIntoMicroMatchesReference checks the full transform — perm,
-// ping-pong, fused epilogue — through the micro sweeps, with and without
-// bias/activation.
+// TestApplyIntoMicroMatchesReference checks the production kernel —
+// perm, ping-pong, unrolled sweeps, fused epilogue — against the
+// allocating Apply followed by the bias/activation sweep, bit-for-bit,
+// with and without bias and for both activations. The sizes cover the
+// factorless N=1 case, the narrow epilogue (N < 16) and the wide one.
 func TestApplyIntoMicroMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
 	for _, n := range []int{1, 2, 4, 8, 16, 64, 128} {
@@ -53,27 +55,21 @@ func TestApplyIntoMicroMatchesReference(t *testing.T) {
 			for i := range bias {
 				bias[i] = rng.Float32()*2 - 1
 			}
-			want := tensor.New(rows, n)
+			lin := b.Apply(x)
 			got := tensor.New(rows, n)
 
 			ws.Reset()
-			b.ApplyInto(want, x, ws)
-			ws.Reset()
-			b.ApplyIntoMicro(got, x, ws)
-			assertSame(t, n, rows, "ApplyIntoMicro", want, got)
+			b.ApplyInto(got, x, ws)
+			assertSame(t, n, rows, "ApplyInto", lin, got)
 
 			for _, act := range []tensor.Activation{tensor.ActNone, tensor.ActReLU} {
-				ws.Reset()
-				b.ApplyIntoEpilogue(want, x, ws, bias, act)
-				ws.Reset()
-				b.ApplyIntoEpilogueMicro(got, x, ws, bias, act)
-				assertSame(t, n, rows, fmt.Sprintf("ApplyIntoEpilogueMicro/%v", act), want, got)
-
-				ws.Reset()
-				b.ApplyIntoEpilogue(want, x, ws, nil, act)
-				ws.Reset()
-				b.ApplyIntoEpilogueMicro(got, x, ws, nil, act)
-				assertSame(t, n, rows, fmt.Sprintf("ApplyIntoEpilogueMicro/nilbias/%v", act), want, got)
+				for _, bv := range [][]float32{bias, nil} {
+					want := tensor.New(rows, n)
+					tensor.ApplyBiasActInto(want, lin, bv, act)
+					ws.Reset()
+					b.ApplyIntoEpilogue(got, x, ws, bv, act)
+					assertSame(t, n, rows, fmt.Sprintf("ApplyIntoEpilogue/bias=%t/%v", bv != nil, act), want, got)
+				}
 			}
 		}
 	}
@@ -88,8 +84,8 @@ func assertSame(t *testing.T, n, rows int, op string, want, got *tensor.Matrix) 
 	}
 }
 
-// BenchmarkApplyFactorRows compares the reference pairs sweep against
-// the unrolled micro sweep across the full stage ladder at
+// BenchmarkApplyFactorRows compares the scalar oracle sweep against the
+// unrolled production sweep across the full stage ladder at
 // serving-realistic shapes.
 func BenchmarkApplyFactorRows(b *testing.B) {
 	rng := rand.New(rand.NewSource(13))
@@ -115,7 +111,7 @@ func BenchmarkApplyFactorRows(b *testing.B) {
 			b.SetBytes(flops)
 			for i := 0; i < b.N; i++ {
 				for _, f := range bf.Factors {
-					applyFactorRowsMicro(f, x, out)
+					factorRows(f, x, out)
 				}
 			}
 		})

@@ -10,6 +10,8 @@
 package nn_test
 
 import (
+	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -54,10 +56,6 @@ func equivTrial(t *testing.T, rng *rand.Rand, net *nn.Sequential, n, maxBatch in
 	if err != nil {
 		t.Fatalf("CompilePlanOpts(NoFuse): %v", err)
 	}
-	reference, err := net.CompilePlanOpts(maxBatch, nn.PlanOptions{NoMicroKernel: true})
-	if err != nil {
-		t.Fatalf("CompilePlanOpts(NoMicroKernel): %v", err)
-	}
 	fs, us := fused.Stats(), unfused.Stats()
 	if us.FusedSteps != 0 {
 		t.Fatalf("unfused plan reports %d fused steps", us.FusedSteps)
@@ -82,7 +80,7 @@ func equivTrial(t *testing.T, rng *rand.Rand, net *nn.Sequential, n, maxBatch in
 		x.FillRandom(rng, 1)
 		inputs[i] = x
 		refs[i] = net.Infer(x)
-		for tag, pl := range map[string]*nn.Plan{"unfused": unfused, "fused": fused, "reference": reference} {
+		for tag, pl := range map[string]*nn.Plan{"unfused": unfused, "fused": fused} {
 			got, err := pl.Execute(x)
 			if err != nil {
 				t.Fatalf("%s Execute(batch=%d): %v", tag, batch, err)
@@ -185,4 +183,63 @@ func TestEquivalenceFuzzPixelflyNoLowRank(t *testing.T) {
 		t.Fatalf("BuildSHLPixelfly: %v", err)
 	}
 	equivTrial(t, rng, net, 128, 9)
+}
+
+// TestEquivalenceBSRStoredZeroInf pins the IEEE product of a stored zero
+// BSR weight and a +Inf feature across every path that runs a pixelfly
+// layer's block-sparse product: Infer (BSR.MulDense), the unsharded plan
+// (MulDenseInto) and the tensor-parallel plan (MulDenseRowsInto windows).
+// All must agree bit for bit, NaN included (known-issues ledger, "BSR
+// computed two different float32 chains").
+func TestEquivalenceBSRStoredZeroInf(t *testing.T) {
+	cfg := pixelfly.Config{N: 64, BlockSize: 4, ButterflySize: 8, LowRank: 0}
+	p, err := pixelfly.New(cfg, rand.New(rand.NewSource(3)))
+	if err != nil {
+		t.Fatalf("pixelfly.New: %v", err)
+	}
+	if p.W.ColIdx[0] != 0 {
+		t.Fatalf("block row 0 does not start at block column 0")
+	}
+	p.W.Blocks[0] = 0 // weight (0,0): couples feature 0 into output 0
+	net := nn.NewSequential(nn.NewStructuredLinear("pixelfly", cfg.N, p))
+
+	x := tensor.New(3, cfg.N)
+	x.FillRandom(rand.New(rand.NewSource(4)), 1)
+	x.Set(0, 0, float32(math.Inf(1)))
+	want := net.Infer(x)
+	if v := want.At(0, 0); !math.IsNaN(float64(v)) {
+		t.Fatalf("Infer (0,0) = %v, want NaN (stored 0 · +Inf)", v)
+	}
+	assertSameBits := func(tag string, got *tensor.Matrix) {
+		t.Helper()
+		for i := range want.Data {
+			if math.Float32bits(want.Data[i]) != math.Float32bits(got.Data[i]) {
+				t.Fatalf("%s: element %d = %v, Infer gives %v", tag, i, got.Data[i], want.Data[i])
+			}
+		}
+	}
+
+	pl, err := net.CompilePlan(4)
+	if err != nil {
+		t.Fatalf("CompilePlan: %v", err)
+	}
+	got, err := pl.Execute(x)
+	if err != nil {
+		t.Fatalf("Execute: %v", err)
+	}
+	assertSameBits("plan", got)
+
+	topo := shard.DefaultTopology(4)
+	for _, shards := range []int{2, 4} {
+		sp, err := shard.CompileWith(pl, topo, shards, shard.TensorParallel)
+		if err != nil {
+			t.Fatalf("CompileWith(%d, tensor-parallel): %v", shards, err)
+		}
+		got, err := sp.Execute(x)
+		if err != nil {
+			t.Fatalf("sharded Execute: %v", err)
+		}
+		assertSameBits(fmt.Sprintf("tensor-parallel/%d", shards), got)
+		sp.Close()
+	}
 }

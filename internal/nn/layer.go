@@ -42,10 +42,15 @@ type refresher interface{ Refresh() }
 // through the caller's workspace arena instead of allocating, and must
 // produce output bit-identical to Apply — the contract the compiled
 // inference plans (Sequential.CompilePlan) are built on.
+// ApplyIntoEpilogue is ApplyInto with a trailing bias add and elementwise
+// activation folded into the final stage that writes the output, which
+// the plan fusion pass uses to write each output element exactly once;
+// it must be bit-for-bit act(Apply(x) + bias), bias may be nil.
 type Transform interface {
 	Forward(x *tensor.Matrix) *tensor.Matrix
 	Apply(x *tensor.Matrix) *tensor.Matrix
 	ApplyInto(dst, x *tensor.Matrix, ws *tensor.Workspace)
+	ApplyIntoEpilogue(dst, x *tensor.Matrix, ws *tensor.Workspace, bias []float32, act tensor.Activation)
 	Backward(dY *tensor.Matrix) *tensor.Matrix
 	ZeroGrad()
 	Params() (params, grads [][]float32)

@@ -1,7 +1,6 @@
-// Micro-kernel dispatcher tests: CompilePlan selects the register-tiled
-// fast paths once at plan-build time, stamps each kernel step with its
-// variant name, and PlanOptions{NoMicroKernel} compiles the reference
-// path. The race test pins the dispatcher's promise that plans compiled
+// Kernel-variant tests: CompilePlan stamps each kernel step with the
+// variant name of the kernel it runs (packed weight panels are built once
+// at plan-build time). The race test pins the promise that plans compiled
 // from one model can execute concurrently (CI runs it under -race).
 package nn_test
 
@@ -14,13 +13,13 @@ import (
 	"repro/internal/tensor"
 )
 
-// expectedVariants maps each operator family to the micro-kernel variant
-// its kernel steps must carry in a default (micro-enabled) plan.
+// expectedVariants maps each operator family to the kernel variant its
+// kernel steps must carry.
 var expectedVariants = map[nn.Method][]string{
 	nn.Baseline:  {"tiled4x8"},
 	nn.Butterfly: {"unrolled"},
 	nn.Fastfood:  {"radix8"},
-	nn.Circulant: {"reference"}, // no micro path: stays on the reference kernel
+	nn.Circulant: {"reference"}, // names no variant
 	nn.LowRank:   {"tiled4x8"},
 	nn.Pixelfly:  {"blockunroll", "blocktiled"},
 }
@@ -34,9 +33,8 @@ func contains(xs []string, s string) bool {
 	return false
 }
 
-// TestPlanVariantStamping checks that default plans stamp kernel steps
-// with the family's micro-kernel variant and that NoMicroKernel plans
-// stamp every kernel step "reference".
+// TestPlanVariantStamping checks that plans stamp kernel steps with the
+// family's kernel variant.
 func TestPlanVariantStamping(t *testing.T) {
 	for _, method := range nn.AllMethods {
 		method := method
@@ -45,9 +43,6 @@ func TestPlanVariantStamping(t *testing.T) {
 			pl, err := net.CompilePlan(8)
 			if err != nil {
 				t.Fatalf("CompilePlan: %v", err)
-			}
-			if !pl.MicroKernel() {
-				t.Fatal("default plan reports MicroKernel()=false")
 			}
 			want := expectedVariants[method]
 			found := false
@@ -60,7 +55,7 @@ func TestPlanVariantStamping(t *testing.T) {
 				}
 				// The Dense classifier head is present in every model, so
 				// "tiled4x8" is always legitimate alongside the family's own
-				// variant; "reference" covers families with no micro path.
+				// variant; "reference" covers transforms naming no variant.
 				if !contains(want, v) && v != "reference" && v != "tiled4x8" {
 					t.Fatalf("step %d: unexpected variant %q (want one of %v)", i, v, want)
 				}
@@ -71,28 +66,15 @@ func TestPlanVariantStamping(t *testing.T) {
 			if !found {
 				t.Fatalf("no kernel step carries any of %v; variants: %v", want, pl.StepVariants())
 			}
-
-			ref, err := net.CompilePlanOpts(8, nn.PlanOptions{NoMicroKernel: true})
-			if err != nil {
-				t.Fatalf("CompilePlanOpts(NoMicroKernel): %v", err)
-			}
-			if ref.MicroKernel() {
-				t.Fatal("NoMicroKernel plan reports MicroKernel()=true")
-			}
-			for i, v := range ref.StepVariants() {
-				if v != "" && v != "reference" {
-					t.Fatalf("reference plan step %d carries micro variant %q", i, v)
-				}
-			}
 		})
 	}
 }
 
 // TestMicroKernelDispatcherRace executes several plans compiled from one
 // model concurrently, each goroutine with its own input, and pins every
-// result to Infer. The shape-keyed dispatch and packed weight panels are
-// selected at compile time and must be read-only at execution time; CI's
-// -race run enforces that here.
+// result to Infer. The packed weight panels are built at compile time
+// and must be read-only at execution time; CI's -race run enforces that
+// here.
 func TestMicroKernelDispatcherRace(t *testing.T) {
 	const (
 		n        = 64

@@ -8,10 +8,11 @@ import (
 	"repro/internal/tensor"
 )
 
-// TestApplyIntoMicroMatchesReference checks the micro apply path —
-// block-specialized BSR kernels plus unchanged staging — against the
-// reference path, bit-for-bit, across block sizes hitting the bs=4/8
-// unrolls and the tiled fallback, with and without the low-rank term.
+// TestApplyIntoMicroMatchesReference checks the production apply path —
+// block-specialized BSR kernels plus workspace staging — against the
+// allocating Apply followed by the bias/activation sweep, bit-for-bit,
+// across block sizes hitting the bs=4/8 unrolls and the tiled fallback,
+// with and without the low-rank term and the bias.
 func TestApplyIntoMicroMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	for _, cfg := range []Config{
@@ -34,21 +35,21 @@ func TestApplyIntoMicroMatchesReference(t *testing.T) {
 			for i := range bias {
 				bias[i] = rng.Float32()*2 - 1
 			}
-			want := tensor.New(rows, cfg.N)
+			lin := p.Apply(x)
 			got := tensor.New(rows, cfg.N)
 
 			ws.Reset()
-			p.ApplyInto(want, x, ws)
-			ws.Reset()
-			p.ApplyIntoMicro(got, x, ws)
-			assertSameMat(t, fmt.Sprintf("%+v rows=%d ApplyIntoMicro", cfg, rows), want, got)
+			p.ApplyInto(got, x, ws)
+			assertSameMat(t, fmt.Sprintf("%+v rows=%d ApplyInto", cfg, rows), lin, got)
 
 			for _, act := range []tensor.Activation{tensor.ActNone, tensor.ActReLU} {
-				ws.Reset()
-				p.ApplyIntoEpilogue(want, x, ws, bias, act)
-				ws.Reset()
-				p.ApplyIntoEpilogueMicro(got, x, ws, bias, act)
-				assertSameMat(t, fmt.Sprintf("%+v rows=%d epilogue/%v", cfg, rows, act), want, got)
+				for _, bv := range [][]float32{bias, nil} {
+					want := tensor.New(rows, cfg.N)
+					tensor.ApplyBiasActInto(want, lin, bv, act)
+					ws.Reset()
+					p.ApplyIntoEpilogue(got, x, ws, bv, act)
+					assertSameMat(t, fmt.Sprintf("%+v rows=%d epilogue/bias=%t/%v", cfg, rows, bv != nil, act), want, got)
+				}
 			}
 		}
 	}

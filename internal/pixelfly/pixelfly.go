@@ -224,11 +224,13 @@ func (p *Pixelfly) Apply(x *tensor.Matrix) *tensor.Matrix {
 
 // ApplyInto is Apply writing into caller-owned dst (shape x.Rows×N, fully
 // overwritten), staging the transposes, the block-sparse product and the
-// low-rank term through the workspace instead of allocating. The kernels
-// run in the same order with the same loop structure as Apply, so the
-// result is bit-for-bit equal. dst must not alias x. It is the
-// nil-epilogue form of ApplyIntoEpilogue — one implementation, one
-// contract.
+// low-rank term through the workspace instead of allocating. The
+// block-sparse product runs through the BSR block-specialized kernels and
+// the staging transposes and low-rank term through the plain tensor
+// kernels (transpose-bound rather than flop-bound at serving shapes);
+// every float32 operation matches Apply's, so the result is bit-for-bit
+// equal. dst must not alias x. It is the nil-epilogue form of
+// ApplyIntoEpilogue — one implementation, one contract.
 func (p *Pixelfly) ApplyInto(dst, x *tensor.Matrix, ws *tensor.Workspace) {
 	p.ApplyIntoEpilogue(dst, x, ws, nil, tensor.ActNone)
 }
@@ -241,7 +243,7 @@ func (p *Pixelfly) ApplyInto(dst, x *tensor.Matrix, ws *tensor.Workspace) {
 // itself via BSR.MulDenseBiasActInto, feature-major, and the transpose
 // back to batch-major moves finished values. Either way every float32
 // operation matches the unfused chain, so the result is bit-for-bit
-// act(ApplyInto(x) + bias). bias may be nil.
+// act(Apply(x) + bias). bias may be nil.
 func (p *Pixelfly) ApplyIntoEpilogue(dst, x *tensor.Matrix, ws *tensor.Workspace, bias []float32, act tensor.Activation) {
 	n := p.Cfg.N
 	if x.Cols != n {
@@ -269,6 +271,17 @@ func (p *Pixelfly) ApplyIntoEpilogue(dst, x *tensor.Matrix, ws *tensor.Workspace
 	lr := ws.Take(x.Rows, n)
 	tensor.MatMulInto(lr, xv, p.ut)
 	tensor.AddInPlaceBiasAct(dst, lr, bias, act)
+}
+
+// MicroVariant names the kernel variant the plan compiler stamps into
+// step metadata for pixelfly steps: the BSR block kernel ApplyInto runs.
+func (p *Pixelfly) MicroVariant() string {
+	switch p.Cfg.BlockSize {
+	case 4, 8:
+		return "blockunroll"
+	default:
+		return "blocktiled"
+	}
 }
 
 // Backward propagates dY (batch×N), accumulating gradients, and returns dX.

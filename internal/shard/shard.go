@@ -111,11 +111,11 @@ type step struct {
 	// the join key back to the unsharded plan's per-step kernel family,
 	// flop model and modelled cost (several micro-steps may share one src).
 	src int
-	// variant names the micro-kernel shape the micro-step's kernels
-	// dispatched to at lowering time — pipeline micro-steps inherit the
-	// plan step's variant, tensor-parallel column windows record their
-	// own ("tiled4x8" for packed dense windows, "reference" for windowed
-	// sweeps that keep the reference kernels, "" for non-kernel steps).
+	// variant names the kernel shape the micro-step's kernels run —
+	// pipeline micro-steps inherit the plan step's variant,
+	// tensor-parallel column windows record their own ("tiled4x8" for
+	// packed dense-family windows, "reference" for the butterfly and
+	// pixelfly window steps, "" for non-kernel steps).
 	variant string
 	run     []func(dst, x *tensor.Matrix, ws *tensor.Workspace)
 }

@@ -1,54 +1,18 @@
 package sparse
 
 import (
-	"fmt"
-
 	"repro/internal/tensor"
 )
 
-// Micro-kernel BSR×dense products: block-size-specialized kernels with
-// the per-scalar `v == 0` skip dropped. Structural sparsity lives at
-// block granularity — absent blocks are never visited via RowPtr/ColIdx,
-// which is the skip worth keeping — while stored blocks are dense by
-// construction (rank-one butterfly blocks), so the per-scalar branch is
-// almost never taken and only costs. Dropping it can only change the
-// sign of exact-zero contributions, which float comparison treats as
-// equal. Accumulation per output element stays c-ascending with
-// sequential adds, so results are otherwise bit-identical to the
-// reference kernels.
+// Block-specialized BSR×dense kernels behind MulDenseInto,
+// MulDenseBiasActInto and MulDenseRowsInto. Structural sparsity lives at
+// block granularity — absent blocks are never visited via RowPtr/ColIdx —
+// while every scalar of a stored block contributes, zeros included, as in
+// MulDense. Accumulation per output element is c-ascending with
+// sequential adds, so results are bit-identical to MulDense.
 
-// MulDenseIntoMicro is MulDenseInto through the block-specialized
-// kernels: full unroll at bs=4 and bs=8, a 4-column tiling otherwise.
-func (b *BSR) MulDenseIntoMicro(out, x *tensor.Matrix) {
-	if b.Cols != x.Rows {
-		panic(fmt.Sprintf("sparse: BSR MulDense shape mismatch %dx%d x %dx%d", b.Rows, b.Cols, x.Rows, x.Cols))
-	}
-	if out.Rows != b.Rows || out.Cols != x.Cols {
-		panic(fmt.Sprintf("sparse: BSR MulDenseIntoMicro dst %dx%d, want %dx%d", out.Rows, out.Cols, b.Rows, x.Cols))
-	}
-	out.Zero()
-	b.mulDenseMicro(out, x, nil, tensor.ActNone, false)
-}
-
-// MulDenseBiasActIntoMicro is MulDenseBiasActInto through the
-// block-specialized kernels, with the same cache-hot per-block-row
-// epilogue.
-func (b *BSR) MulDenseBiasActIntoMicro(out, x *tensor.Matrix, bias []float32, act tensor.Activation) {
-	if b.Cols != x.Rows {
-		panic(fmt.Sprintf("sparse: BSR MulDenseBiasAct shape mismatch %dx%d x %dx%d", b.Rows, b.Cols, x.Rows, x.Cols))
-	}
-	if out.Rows != b.Rows || out.Cols != x.Cols {
-		panic(fmt.Sprintf("sparse: BSR MulDenseBiasActIntoMicro dst %dx%d, want %dx%d", out.Rows, out.Cols, b.Rows, x.Cols))
-	}
-	if bias != nil && len(bias) != b.Rows {
-		panic(fmt.Sprintf("sparse: BSR MulDenseBiasActIntoMicro bias length %d != rows %d", len(bias), b.Rows))
-	}
-	out.Zero()
-	b.mulDenseMicro(out, x, bias, act, true)
-}
-
-// MicroVariant names the kernel variant the plan dispatcher stamps into
-// step metadata when this matrix multiplies through the micro path.
+// MicroVariant names the kernel variant the plan compiler stamps into
+// step metadata for steps multiplying through this matrix.
 func (b *BSR) MicroVariant() string {
 	switch b.BlockSize {
 	case 4:
@@ -60,24 +24,29 @@ func (b *BSR) MicroVariant() string {
 	}
 }
 
-func (b *BSR) mulDenseMicro(out, x *tensor.Matrix, bias []float32, act tensor.Activation, epi bool) {
+// mulDenseRows accumulates block rows [br0, br1) of b·x into out, whose
+// row 0 is logical row br0·BlockSize; out must be zeroed. Each finished
+// block row gets the bias (indexed by logical row; nil for none) and the
+// activation while it is cache-hot.
+func (b *BSR) mulDenseRows(out, x *tensor.Matrix, br0, br1 int, bias []float32, act tensor.Activation) {
 	bs, k := b.BlockSize, x.Cols
-	for bi := 0; bi < b.BlockRows; bi++ {
+	for bi := br0; bi < br1; bi++ {
+		row0 := (bi - br0) * bs
 		for p := b.RowPtr[bi]; p < b.RowPtr[bi+1]; p++ {
 			bj := int(b.ColIdx[p])
 			blk := b.Block(int(p))
 			switch bs {
 			case 4:
-				accBlock4(out, x, blk, bi*4, bj*4, k)
+				accBlock4(out, x, blk, row0, bj*4, k)
 			case 8:
-				accBlock8(out, x, blk, bi*8, bj*8, k)
+				accBlock8(out, x, blk, row0, bj*8, k)
 			default:
-				accBlockTiled(out, x, blk, bi*bs, bj*bs, bs, k)
+				accBlockTiled(out, x, blk, row0, bj*bs, bs, k)
 			}
 		}
-		if epi {
+		if bias != nil || act != tensor.ActNone {
 			for r := 0; r < bs; r++ {
-				row := out.Row(bi*bs + r)
+				row := out.Row(row0 + r)
 				if bias != nil {
 					bv := bias[bi*bs+r]
 					for j, v := range row {

@@ -289,7 +289,7 @@ func TestBSRMulDenseRowsIntoPanics(t *testing.T) {
 
 // TestBSRMulDenseBiasActMatchesUnfused pins the fused block-sparse
 // epilogue (pixelfly's fused final stage without a low-rank term) to the
-// unfused MulDenseInto + bias broadcast + activation chain, bit-for-bit.
+// unfused MulDense + bias broadcast + activation chain, bit-for-bit.
 func TestBSRMulDenseBiasActMatchesUnfused(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	pattern := [][2]int{{0, 0}, {0, 2}, {1, 1}, {2, 3}, {3, 0}, {3, 3}}
@@ -307,8 +307,7 @@ func TestBSRMulDenseBiasActMatchesUnfused(t *testing.T) {
 		bias[i] = rng.Float32()*2 - 1
 	}
 
-	want := tensor.New(16, 5)
-	b.MulDenseInto(want, x)
+	want := b.MulDense(x)
 	for i := 0; i < want.Rows; i++ {
 		row := want.Row(i)
 		for j, v := range row {
@@ -327,7 +326,7 @@ func TestBSRMulDenseBiasActMatchesUnfused(t *testing.T) {
 		}
 	}
 
-	// nil bias, no activation degenerates to MulDenseInto exactly.
+	// nil bias, no activation degenerates to MulDense exactly.
 	plain := tensor.New(16, 5)
 	b.MulDenseBiasActInto(plain, x, nil, tensor.ActNone)
 	ref := b.MulDense(x)

@@ -3,19 +3,19 @@
 // works on raw float32 slices (no Matrix types, no imports) so every
 // operator family can share the same kernels without import cycles.
 //
-// The contract that makes these kernels safe to swap in at plan-compile
-// time is bit-for-bit equivalence with the reference loops: every output
+// The contract that makes these kernels safe to serve is bit-for-bit
+// equivalence with the scalar oracle loops: every output
 // element is produced by the same float32 operation chain, in the same
 // order, as the naive code. Tiling only reorders *which elements* are
 // computed when — never the reduction order *within* an element — so
 // results are IEEE-754 identical (modulo the sign of exact zeros, which
 // float comparison treats as equal).
 //
-// The matmul kernel deliberately drops the reference path's `av == 0`
+// The matmul kernel deliberately drops the scalar oracle's `av == 0`
 // skip branch: on dense weights the branch is nearly always not taken
 // and costs more than it saves; zeros there are incidental, not
-// structural. The BSR kernels in internal/sparse keep zero-skipping at
-// block granularity, where zeros are structural (absent blocks).
+// structural. The BSR kernels in internal/sparse skip only at block
+// granularity, where zeros are structural (absent blocks).
 package microkernel
 
 // Tile shape: output is processed in blocks of MR rows, each row
@@ -69,8 +69,8 @@ func PackB(dst, b []float32, n, k int) {
 // reference ReLU semantic (!(v > 0) → 0) after the bias add.
 //
 // Per output element the accumulation is Σ_p a[p]*b[p][j] with p
-// ascending from a zero accumulator — exactly the reference
-// matMulRows/matMulBiasActRows chain — so results are bit-identical.
+// ascending from a zero accumulator — exactly the scalar oracle's
+// matMulRows chain — so results are bit-identical.
 // The output window is fully overwritten; callers need not zero it.
 func MatMul(dst []float32, dstStride, dstOff int, a []float32, aStride, r0, r1 int, packed []float32, n, k int, bias []float32, relu bool) {
 	np := (k + NR - 1) / NR

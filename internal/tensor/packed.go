@@ -55,15 +55,6 @@ func MatMulPackedInto(dst, a *Matrix, pb *PackedB) {
 	microkernel.MatMul(dst.Data, dst.Cols, 0, a.Data, a.Cols, 0, a.Rows, pb.data, pb.rows, pb.cols, nil, false)
 }
 
-// MatMulPackedBiasActInto computes dst = act(a·B + bias) through the
-// register-tiled micro-kernel — the packed counterpart of
-// MatMulBiasActInto.
-func MatMulPackedBiasActInto(dst, a *Matrix, pb *PackedB, bias []float32, act Activation) {
-	checkPackedShapes("MatMulPackedBiasActInto", dst, a, pb)
-	checkBiasLen("MatMulPackedBiasActInto", bias, pb.cols)
-	microkernel.MatMul(dst.Data, dst.Cols, 0, a.Data, a.Cols, 0, a.Rows, pb.data, pb.rows, pb.cols, bias, act == ActReLU)
-}
-
 // MatMulPackedParallelInto is the row-parallel form of MatMulPackedInto,
 // using the same worker count, serial-cutoff product, and chunking as
 // MatMulParallelInto so scheduling behaviour is comparable. Rows are
@@ -73,8 +64,9 @@ func MatMulPackedParallelInto(dst, a *Matrix, pb *PackedB) {
 	matMulPackedRowsParallel(dst, a, pb, nil, false)
 }
 
-// MatMulPackedBiasActParallelInto is the row-parallel form of
-// MatMulPackedBiasActInto.
+// MatMulPackedBiasActParallelInto computes dst = act(a·B + bias) through
+// the register-tiled micro-kernel, row-parallel like
+// MatMulPackedParallelInto; bias may be nil.
 func MatMulPackedBiasActParallelInto(dst, a *Matrix, pb *PackedB, bias []float32, act Activation) {
 	checkPackedShapes("MatMulPackedBiasActParallelInto", dst, a, pb)
 	checkBiasLen("MatMulPackedBiasActParallelInto", bias, pb.cols)
@@ -108,9 +100,10 @@ func matMulPackedRowsParallel(dst, a *Matrix, pb *PackedB, bias []float32, relu 
 }
 
 // MatMulPackedColsBiasActInto computes act(a·B + bias) into the column
-// window [dstLo, dstLo+B.Cols) of dst — the packed counterpart of
-// MatMulColsBiasActInto for sharded column-parallel execution. bias is
-// window-relative, matching the unpacked variant.
+// window [dstLo, dstLo+B.Cols) of dst — the kernel one tensor-parallel
+// shard of a dense-family layer runs on its packed weight slice. bias is
+// window-relative (len == B.Cols) and may be nil; columns outside the
+// window are untouched.
 func MatMulPackedColsBiasActInto(dst *Matrix, dstLo int, a *Matrix, pb *PackedB, bias []float32, act Activation) {
 	if a.Cols != pb.rows {
 		panic(fmt.Sprintf("tensor: MatMulPackedColsBiasActInto shape mismatch (%d×%d)·packed(%d×%d)", a.Rows, a.Cols, pb.rows, pb.cols))

@@ -14,11 +14,23 @@ func randMatrix(rng *rand.Rand, rows, cols int) *Matrix {
 	return m
 }
 
-// TestMatMulPackedMatchesReference is the tiled-vs-reference property
-// test: across random shapes — including ragged edges off the 4×8 tile
-// in every dimension — the packed kernels must equal the reference
-// kernels under float comparison (bit-for-bit up to the sign of exact
-// zeros, the only divergence the dropped av==0 skip can introduce).
+// epilogueSweep finishes a product the unfused way: a row-broadcast bias
+// add (bias may be nil), then a separate activation pass.
+func epilogueSweep(m *Matrix, bias []float32, act Activation) {
+	if bias != nil {
+		AddRowVector(m, bias)
+	}
+	if act == ActReLU {
+		reluSweep(m)
+	}
+}
+
+// TestMatMulPackedMatchesReference is the tiled-vs-oracle property test:
+// across random shapes — including ragged edges off the 4×8 tile in every
+// dimension — the packed kernels must equal MatMulInto (followed by the
+// bias/activation sweep for the fused form) under float comparison
+// (bit-for-bit up to the sign of exact zeros, the only divergence the
+// scalar loop's av==0 skip can introduce on finite inputs).
 func TestMatMulPackedMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	shapes := [][3]int{
@@ -30,7 +42,7 @@ func TestMatMulPackedMatchesReference(t *testing.T) {
 		m, n, k := sh[0], sh[1], sh[2]
 		a := randMatrix(rng, m, n)
 		b := randMatrix(rng, n, k)
-		// Seed exact zeros so the dropped skip branch is exercised.
+		// Seed exact zeros so the oracle's skip branch is exercised.
 		b.Data[0] = 0
 		if len(a.Data) > 1 {
 			a.Data[1] = 0
@@ -41,31 +53,30 @@ func TestMatMulPackedMatchesReference(t *testing.T) {
 			bias[i] = rng.Float32()*2 - 1
 		}
 
-		want := New(m, k)
+		lin := New(m, k)
+		MatMulInto(lin, a, b)
 		got := New(m, k)
 
-		MatMulInto(want, a, b)
 		MatMulPackedInto(got, a, pb)
-		assertEqualMat(t, "MatMulPackedInto", sh, want, got)
+		assertEqualMat(t, "MatMulPackedInto", sh, lin, got)
 
-		MatMulParallelInto(want, a, b)
 		MatMulPackedParallelInto(got, a, pb)
-		assertEqualMat(t, "MatMulPackedParallelInto", sh, want, got)
+		assertEqualMat(t, "MatMulPackedParallelInto", sh, lin, got)
 
 		for _, act := range []Activation{ActNone, ActReLU} {
-			MatMulBiasActInto(want, a, b, bias, act)
-			MatMulPackedBiasActInto(got, a, pb, bias, act)
-			assertEqualMat(t, fmt.Sprintf("MatMulPackedBiasActInto/%v", act), sh, want, got)
-
-			MatMulBiasActParallelInto(want, a, b, bias, act)
-			MatMulPackedBiasActParallelInto(got, a, pb, bias, act)
-			assertEqualMat(t, fmt.Sprintf("MatMulPackedBiasActParallelInto/%v", act), sh, want, got)
+			for _, bv := range [][]float32{bias, nil} {
+				want := lin.Clone()
+				epilogueSweep(want, bv, act)
+				MatMulPackedBiasActParallelInto(got, a, pb, bv, act)
+				assertEqualMat(t, fmt.Sprintf("MatMulPackedBiasActParallelInto/bias=%t/%v", bv != nil, act), sh, want, got)
+			}
 		}
 	}
 }
 
 // TestMatMulPackedColsMatchesReference checks the sharded column-window
-// form against MatMulColsBiasActInto, windows at ragged offsets.
+// form against the window oracle (MatMulColsInto, then the bias and
+// activation sweeps over the window), windows at ragged offsets.
 func TestMatMulPackedColsMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	m, n, full := 6, 37, 40
@@ -83,13 +94,26 @@ func TestMatMulPackedColsMatchesReference(t *testing.T) {
 		for i := range bias {
 			bias[i] = rng.Float32()*2 - 1
 		}
-		want := randMatrix(rng, m, full)
-		got := want.Clone()
-		MatMulColsBiasActInto(want, lo, a, wk, bias, ActReLU)
-		MatMulPackedColsBiasActInto(got, lo, a, pb, bias, ActReLU)
-		for i := range want.Data {
-			if want.Data[i] != got.Data[i] {
-				t.Fatalf("window [%d,%d): data[%d] = %v, want %v", lo, hi, i, got.Data[i], want.Data[i])
+		for _, act := range []Activation{ActNone, ActReLU} {
+			for _, bv := range [][]float32{bias, nil} {
+				want := randMatrix(rng, m, full)
+				got := want.Clone()
+				MatMulColsInto(want, lo, a, wk)
+				if bv != nil {
+					AddRowVectorCols(want, lo, bv)
+				}
+				for i := 0; i < m; i++ {
+					row := want.Row(i)[lo:hi]
+					for j, v := range row {
+						row[j] = act.Apply(v)
+					}
+				}
+				MatMulPackedColsBiasActInto(got, lo, a, pb, bv, act)
+				for i := range want.Data {
+					if want.Data[i] != got.Data[i] {
+						t.Fatalf("window [%d,%d) bias=%t/%v: data[%d] = %v, want %v", lo, hi, bv != nil, act, i, got.Data[i], want.Data[i])
+					}
+				}
 			}
 		}
 	}
@@ -104,7 +128,7 @@ func assertEqualMat(t *testing.T, op string, sh [3]int, want, got *Matrix) {
 	}
 }
 
-// BenchmarkMatMulInto compares the reference row kernel against the
+// BenchmarkMatMulInto compares the scalar oracle row kernel against the
 // register-tiled packed kernel at serving-realistic shapes (batch 1–64,
 // width 256–1024). The tiled path's win comes from eliminating the
 // per-(p,j) dst load/store traffic and the untaken av==0 branch.

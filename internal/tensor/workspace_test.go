@@ -30,10 +30,6 @@ func TestIntoKernelsMatchAllocatingKernels(t *testing.T) {
 	MatMulInto(mm, a, b)
 	check("MatMulInto over stale dst", MatMul(a, b), mm)
 
-	mb := New(7, 5)
-	MatMulBlockedInto(mb, a, b, 4)
-	check("MatMulBlockedInto", MatMulBlocked(a, b, 4), mb)
-
 	mp := New(7, 5)
 	MatMulParallelInto(mp, a, b)
 	check("MatMulParallelInto", MatMulParallel(a, b), mp)
@@ -72,7 +68,6 @@ func TestIntoKernelShapeChecks(t *testing.T) {
 	bad := New(3, 3)
 	for label, f := range map[string]func(){
 		"MatMulInto":         func() { MatMulInto(bad, a, b) },
-		"MatMulBlockedInto":  func() { MatMulBlockedInto(bad, a, b, 0) },
 		"MatMulParallelInto": func() { MatMulParallelInto(bad, a, b) },
 		"TransposeInto":      func() { TransposeInto(bad, a) },
 		"AddRowVectorInto":   func() { AddRowVectorInto(bad, a, make([]float32, 4)) },
