@@ -655,11 +655,13 @@ func writeTimeline(path string, passes []pass, specs []serve.ModelSpec) error {
 func kernelTable(reg *serve.Registry) []kernelRecord {
 	variants := map[string]map[string]bool{}
 	for _, m := range reg.Models() {
-		for fam, v := range m.KernelVariants() {
+		for fam, vs := range m.KernelVariants() {
 			if variants[fam] == nil {
 				variants[fam] = map[string]bool{}
 			}
-			variants[fam][v] = true
+			for _, v := range vs {
+				variants[fam][v] = true
+			}
 		}
 	}
 	var out []kernelRecord

@@ -211,34 +211,6 @@ func CooleyTukeyFactor(n, s int) (re, im *sparse.COO) {
 	return re, im
 }
 
-// ApplyFactors runs x through the full Cooley–Tukey pipeline: bit-reversal
-// permutation followed by all log2(n) butterfly factor stages. It must
-// reproduce FFT(x) exactly (up to rounding) and is used to validate that a
-// product of explicit butterfly factors is the DFT — the structural claim
-// behind butterfly factorizations.
-func ApplyFactors(x []complex128) []complex128 {
-	n := len(x)
-	perm := BitReverse(n)
-	cur := make([]complex128, n)
-	for i, p := range perm {
-		cur[i] = x[p]
-	}
-	for s := 1; s <= Log2(n); s++ {
-		re, im := CooleyTukeyFactor(n, s)
-		next := make([]complex128, n)
-		for e := range re.Val {
-			i, j := int(re.RowIdx[e]), int(re.ColIdx[e])
-			next[i] += complex(float64(re.Val[e]), 0) * cur[j]
-		}
-		for e := range im.Val {
-			i, j := int(im.RowIdx[e]), int(im.ColIdx[e])
-			next[i] += complex(0, float64(im.Val[e])) * cur[j]
-		}
-		cur = next
-	}
-	return cur
-}
-
 // Plan precomputes the bit-reversal permutation of one FFT size so the
 // transform can run in place over caller-owned buffers — the
 // allocation-free path the circulant layer's compiled inference plan uses.

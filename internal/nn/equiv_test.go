@@ -99,9 +99,9 @@ func equivTrial(t *testing.T, rng *rand.Rand, net *nn.Sequential, n, maxBatch in
 				strategies = append(strategies, shard.TensorParallel)
 			}
 			for _, strat := range strategies {
-				sp, err := shard.CompileWith(src.pl, topo, shards, strat)
+				sp, err := shard.CompileMicro(src.pl, topo, shards, strat, 1)
 				if err != nil {
-					t.Fatalf("CompileWith(%s, %d, %v): %v", src.tag, shards, strat, err)
+					t.Fatalf("CompileMicro(%s, %d, %v): %v", src.tag, shards, strat, err)
 				}
 				for i, x := range inputs {
 					got, err := sp.Execute(x)
@@ -231,9 +231,9 @@ func TestEquivalenceBSRStoredZeroInf(t *testing.T) {
 
 	topo := shard.DefaultTopology(4)
 	for _, shards := range []int{2, 4} {
-		sp, err := shard.CompileWith(pl, topo, shards, shard.TensorParallel)
+		sp, err := shard.CompileMicro(pl, topo, shards, shard.TensorParallel, 1)
 		if err != nil {
-			t.Fatalf("CompileWith(%d, tensor-parallel): %v", shards, err)
+			t.Fatalf("CompileMicro(%d, tensor-parallel): %v", shards, err)
 		}
 		got, err := sp.Execute(x)
 		if err != nil {

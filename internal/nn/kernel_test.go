@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"repro/internal/obs"
-	"repro/internal/tensor"
 )
 
 // TestPlanKernelClassification pins the step → kernel-family attribution
@@ -47,81 +46,5 @@ func TestPlanKernelClassification(t *testing.T) {
 				}
 			}
 		})
-	}
-}
-
-// TestPlanKernelAccounting executes a butterfly plan with the sink
-// installed and checks the recorded totals against the plan's own
-// per-row figures: flops and bytes must match rows × per-row exactly,
-// and every executed step must land in its attributed family.
-func TestPlanKernelAccounting(t *testing.T) {
-	const n, classes, maxBatch = 64, 10, 8
-	net := BuildSHL(Butterfly, n, classes, rand.New(rand.NewSource(9)))
-	plan, err := net.CompilePlan(maxBatch)
-	if err != nil {
-		t.Fatalf("CompilePlan: %v", err)
-	}
-	ks := obs.NewKernelStats()
-	plan.SetKernelStats(ks)
-
-	rows := int64(0)
-	rng := rand.New(rand.NewSource(10))
-	for _, batch := range []int{1, 3, maxBatch} {
-		x := tensor.New(batch, n)
-		x.FillRandom(rng, 1)
-		if _, err := plan.Execute(x); err != nil {
-			t.Fatalf("Execute: %v", err)
-		}
-		rows += int64(batch)
-	}
-
-	wantFlops := map[string]int64{}
-	wantBytes := map[string]int64{}
-	wantCalls := map[string]int64{}
-	for i := 0; i < plan.NumSteps(); i++ {
-		k := plan.StepKernel(i).String()
-		wantFlops[k] += rows * plan.StepFlopsPerRow(i)
-		wantBytes[k] += rows * plan.StepArenaBytesPerRow(i)
-		wantCalls[k] += 3 // one record per step per Execute
-	}
-
-	snaps := ks.Snapshot()
-	if len(snaps) != len(wantFlops) {
-		t.Fatalf("sink families = %d, want %d (%v)", len(snaps), len(wantFlops), snaps)
-	}
-	for _, s := range snaps {
-		if s.Flops != wantFlops[s.Kernel] {
-			t.Errorf("%s flops = %d, want %d", s.Kernel, s.Flops, wantFlops[s.Kernel])
-		}
-		if s.Bytes != wantBytes[s.Kernel] {
-			t.Errorf("%s bytes = %d, want %d", s.Kernel, s.Bytes, wantBytes[s.Kernel])
-		}
-		if s.Calls != wantCalls[s.Kernel] {
-			t.Errorf("%s calls = %d, want %d", s.Kernel, s.Calls, wantCalls[s.Kernel])
-		}
-		if s.Nanos <= 0 {
-			t.Errorf("%s nanos = %d, want > 0", s.Kernel, s.Nanos)
-		}
-	}
-}
-
-// TestPlanKernelStatsAllocFree pins the accounting overhead contract:
-// with the sink installed, steady-state Execute still performs zero heap
-// allocations (striped atomic adds only).
-func TestPlanKernelStatsAllocFree(t *testing.T) {
-	const n, classes, maxBatch = 64, 10, 8
-	net := BuildSHL(Butterfly, n, classes, rand.New(rand.NewSource(17)))
-	plan, err := net.CompilePlan(maxBatch)
-	if err != nil {
-		t.Fatalf("CompilePlan: %v", err)
-	}
-	plan.SetKernelStats(obs.NewKernelStats())
-	x := tensor.New(maxBatch, n)
-	x.FillRandom(rand.New(rand.NewSource(18)), 1)
-	if _, err := plan.Execute(x); err != nil {
-		t.Fatalf("Execute: %v", err)
-	}
-	if avg := testing.AllocsPerRun(20, func() { plan.Execute(x) }); avg != 0 {
-		t.Errorf("Execute with kernel accounting allocates %.1f objects per run, want 0", avg)
 	}
 }

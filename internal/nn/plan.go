@@ -3,10 +3,8 @@ package nn
 import (
 	"errors"
 	"fmt"
-	"time"
 
 	"repro/internal/obs"
-	"repro/internal/obs/timeline"
 	"repro/internal/tensor"
 )
 
@@ -72,25 +70,6 @@ type Plan struct {
 	// can report the fusion win without compiling a second plan.
 	preFusion []stepShape
 
-	// stepNanos holds the wall-clock duration of each step of the most
-	// recent Execute — the measured counterpart the serving layer lines
-	// up against the modelled per-step cost. Plan-owned and overwritten
-	// every Execute, so recording it allocates nothing.
-	stepNanos []int64
-
-	// kstats, when set, receives one per-kernel accounting record per
-	// executed step (flops, arena bytes, measured nanoseconds). Nil by
-	// default; the serving layer installs the registry-wide sink. Kept a
-	// plain pointer so the hot path pays a nil check plus striped atomic
-	// adds and nothing else.
-	kstats *obs.KernelStats
-
-	// rec, when set, receives a BSP phase timeline of sampled batches:
-	// a single-IPU plan is one track of back-to-back compute spans (the
-	// step clocks Execute measures anyway, re-emitted as events). Nil by
-	// default — then nothing is recorded.
-	rec *timeline.Recorder
-
 	ws         *tensor.Workspace
 	bufA, bufB []float32
 	actA, actB tensor.Matrix
@@ -124,9 +103,10 @@ type planStep struct {
 
 	// kernel is the Into-kernel family the step executes and flopsPerRow /
 	// bytesPerRow its per-sample work and arena traffic — the static half
-	// of the per-kernel accounting record Execute emits (the dynamic half
-	// is the batch size and measured nanoseconds). bytesPerRow is filled
-	// in after fusion from the step's traffic silhouette.
+	// of the per-kernel accounting record the shard engine emits (the
+	// dynamic half is the batch size and measured nanoseconds).
+	// bytesPerRow is filled in after fusion from the step's traffic
+	// silhouette.
 	kernel      obs.Kernel
 	flopsPerRow int64
 	bytesPerRow int64
@@ -158,8 +138,9 @@ func (s *Sequential) CompilePlan(maxBatch int) (*Plan, error) {
 // Unless opts.NoFuse is set, a peephole pass then rewrites every adjacent
 // (linear, activation) step pair into one fused step whose kernel applies
 // multiply, bias and nonlinearity in a single pass over the output arena.
-// Compilation runs two warm-up batches of zeros at maxBatch so every
-// buffer reaches its exact high-water size before the plan serves real
+// Compilation runs one warm-up batch of zeros at maxBatch and then resets
+// the workspace, which grows its arena to the batch's demand, so every
+// buffer is at its exact high-water size before the plan serves real
 // traffic.
 func (s *Sequential) CompilePlanOpts(maxBatch int, opts PlanOptions) (*Plan, error) {
 	if maxBatch <= 0 {
@@ -172,7 +153,7 @@ func (s *Sequential) CompilePlanOpts(maxBatch int, opts PlanOptions) (*Plan, err
 	if err != nil {
 		return nil, err
 	}
-	p := &Plan{maxBatch: maxBatch, in: in, ws: tensor.NewWorkspace()}
+	p := &Plan{in: in}
 	width := in
 	for i, l := range s.Layers {
 		st, outW, err := lowerLayer(l, width)
@@ -196,7 +177,26 @@ func (s *Sequential) CompilePlanOpts(maxBatch int, opts PlanOptions) (*Plan, err
 	for i, sh := range stepShapes(p.in, p.steps) {
 		p.steps[i].bytesPerRow = int64(4 * (sh.in + sh.out + 2*sh.sweeps*sh.out))
 	}
+	return p.sized(maxBatch)
+}
 
+// Rebatch returns a plan that executes the same lowered steps — sharing
+// their kernels and packed weight panels — for batches of up to maxBatch
+// rows, with arenas and a workspace of its own. Lowering once and
+// rebatching per batch size packs every weight matrix once.
+func (p *Plan) Rebatch(maxBatch int) (*Plan, error) {
+	if maxBatch <= 0 {
+		return nil, fmt.Errorf("nn: plan maxBatch %d must be positive", maxBatch)
+	}
+	q := &Plan{in: p.in, out: p.out, steps: p.steps, preFusion: p.preFusion}
+	return q.sized(maxBatch)
+}
+
+// sized allocates the plan's arenas and workspace for batches of up to
+// maxBatch rows and warms them to their steady-state size.
+func (p *Plan) sized(maxBatch int) (*Plan, error) {
+	p.maxBatch = maxBatch
+	p.ws = tensor.NewWorkspace()
 	// The ping-pong arenas alternate ownership of the step outputs, so
 	// each is sized to the widest step that lands in it — fusing steps
 	// out of the list shifts the parity and typically shrinks one arena
@@ -212,17 +212,14 @@ func (s *Sequential) CompilePlanOpts(maxBatch int, opts PlanOptions) (*Plan, err
 	}
 	p.bufA = make([]float32, maxBatch*wA)
 	p.bufB = make([]float32, maxBatch*wB)
-	p.stepNanos = make([]int64, len(p.steps))
 
-	// Two warm-up executions: the first records every buffer's demand, the
-	// second runs after the workspace has grown to it, leaving the arena at
-	// its exact steady-state size.
-	warm := tensor.New(maxBatch, in)
-	for i := 0; i < 2; i++ {
-		if _, err := p.Execute(warm); err != nil {
-			return nil, err
-		}
+	// One warm-up execution records every step's scratch demand; the reset
+	// after it grows the arena to the last step's (earlier steps' demand
+	// was absorbed by the resets between steps).
+	if _, err := p.Execute(tensor.New(maxBatch, p.in)); err != nil {
+		return nil, err
 	}
+	p.ws.Reset()
 	return p, nil
 }
 
@@ -467,7 +464,10 @@ func (p *Plan) StepRunner(i int) func(dst, x *tensor.Matrix, ws *tensor.Workspac
 // it is valid until the next Execute on this plan, so callers that retain
 // it across executions (or hand the plan back to a pool) must copy first.
 // Output is bit-for-bit identical to Sequential.Infer on the same input,
-// fused or not.
+// fused or not. Execute is the plain reference executor: it measures
+// nothing. Served programs run on the shard engine (a one-shard
+// shard.ShardedPlan is this loop plus step clocks, kernel accounting and
+// the phase timeline).
 func (p *Plan) Execute(x *tensor.Matrix) (*tensor.Matrix, error) {
 	if x.Cols != p.in {
 		return nil, fmt.Errorf("%w: got %d columns, plan expects %d", ErrPlanWidth, x.Cols, p.in)
@@ -475,11 +475,6 @@ func (p *Plan) Execute(x *tensor.Matrix) (*tensor.Matrix, error) {
 	if x.Rows < 1 || x.Rows > p.maxBatch {
 		return nil, fmt.Errorf("%w: got %d rows, plan accepts 1..%d", ErrPlanBatch, x.Rows, p.maxBatch)
 	}
-	tb := p.rec.Sample()
-	if tb != nil {
-		tb.Begin(len(p.steps), 1, x.Rows)
-	}
-	var off int64
 	cur := x
 	useA := true
 	for i := range p.steps {
@@ -491,43 +486,12 @@ func (p *Plan) Execute(x *tensor.Matrix) (*tensor.Matrix, error) {
 		act.Rows, act.Cols = x.Rows, st.cols
 		act.Data = buf[:x.Rows*st.cols]
 		p.ws.Reset()
-		t0 := time.Now()
 		st.run(act, cur, p.ws)
-		p.stepNanos[i] = time.Since(t0).Nanoseconds()
-		if p.kstats != nil {
-			rows := int64(x.Rows)
-			p.kstats.Record(st.kernel, rows*st.flopsPerRow, rows*st.bytesPerRow, p.stepNanos[i])
-		}
-		if tb != nil {
-			// The single-IPU timeline is the measured step clocks laid
-			// back-to-back: one compute span per step, no gaps (there is
-			// no exchange or barrier on one chip).
-			tb.Record(i, 0, timeline.LaneWork, timeline.Compute, off, p.stepNanos[i])
-			off += p.stepNanos[i]
-		}
 		cur = act
 		useA = !useA
 	}
-	if tb != nil {
-		p.rec.Finish(tb, off)
-	}
 	return cur, nil
 }
-
-// SetKernelStats installs (or, with nil, removes) the per-kernel
-// accounting sink Execute reports each step's flops, arena bytes and
-// measured time into. The sink is shared and internally synchronized; the
-// plan itself stays single-goroutine. Recording is a few striped atomic
-// adds, so enabling accounting does not change the plan's steady-state
-// allocation profile.
-func (p *Plan) SetKernelStats(ks *obs.KernelStats) { p.kstats = ks }
-
-// SetTimeline installs (or, with nil, removes) the BSP phase flight
-// recorder Execute samples batches into. A single-IPU plan records one
-// compute span per step on track 0; recording a sampled batch reuses
-// pooled buffers, and with no recorder installed nothing is emitted, so
-// neither case changes the plan's steady-state allocation profile.
-func (p *Plan) SetTimeline(rec *timeline.Recorder) { p.rec = rec }
 
 // StepKernel returns the Into-kernel family step i executes — the
 // attribution key of the per-kernel accounting (fused steps report their
@@ -541,12 +505,6 @@ func (p *Plan) StepFlopsPerRow(i int) int64 { return p.steps[i].flopsPerRow }
 // StepArenaBytesPerRow returns the modelled per-sample activation-arena
 // traffic of step i, from the same silhouette trafficBytes prices.
 func (p *Plan) StepArenaBytesPerRow(i int) int64 { return p.steps[i].bytesPerRow }
-
-// LastStepNanos returns the wall-clock duration, in nanoseconds, of each
-// step of the most recent Execute (index-aligned with Step/Steps). The
-// slice is plan-owned and overwritten by the next Execute — copy it to
-// retain. Before the first Execute all entries are zero.
-func (p *Plan) LastStepNanos() []int64 { return p.stepNanos }
 
 // inputWidth infers the feature width a layer consumes; layers without a
 // declared width (e.g. a leading ReLU) cannot head a plan.

@@ -220,6 +220,74 @@ func TestPlanSteadyStateAllocs(t *testing.T) {
 	}
 }
 
+// TestPlanWarmFootprint pins the single warm-up at compile: the
+// workspace footprint right after CompilePlan already equals the
+// footprint after three more MaxBatch executions, so serving traffic
+// never grows the arena.
+func TestPlanWarmFootprint(t *testing.T) {
+	const n, classes, maxBatch = 64, 10, 8
+	for _, method := range AllMethods {
+		net := BuildSHL(method, n, classes, rand.New(rand.NewSource(21)))
+		plan, err := net.CompilePlan(maxBatch)
+		if err != nil {
+			t.Fatalf("%v: CompilePlan: %v", method, err)
+		}
+		warm := plan.Stats().WorkspaceBytes
+		x := tensor.New(maxBatch, n)
+		x.FillRandom(rand.New(rand.NewSource(22)), 1)
+		for i := 0; i < 3; i++ {
+			mustExecute(t, plan, x)
+		}
+		if got := plan.Stats().WorkspaceBytes; got != warm {
+			t.Errorf("%v: workspace %d bytes after compile, %d after 3 executions", method, warm, got)
+		}
+	}
+}
+
+// TestPlanRebatch pins the shared lowering: a plan rebatched from a
+// batch-1 lowering executes bit for bit as a plan compiled at the target
+// batch, with the same arenas, a warm workspace and no steady-state
+// allocations, and it rejects a non-positive batch.
+func TestPlanRebatch(t *testing.T) {
+	const n, classes, maxBatch = 64, 10, 8
+	for _, method := range AllMethods {
+		net := BuildSHL(method, n, classes, rand.New(rand.NewSource(23)))
+		base, err := net.CompilePlan(1)
+		if err != nil {
+			t.Fatalf("%v: CompilePlan: %v", method, err)
+		}
+		pl, err := base.Rebatch(maxBatch)
+		if err != nil {
+			t.Fatalf("%v: Rebatch: %v", method, err)
+		}
+		fresh, err := net.CompilePlan(maxBatch)
+		if err != nil {
+			t.Fatalf("%v: CompilePlan: %v", method, err)
+		}
+		if pl.MaxBatch() != maxBatch || pl.Stats() != fresh.Stats() {
+			t.Fatalf("%v: rebatched stats %+v, compiled %+v", method, pl.Stats(), fresh.Stats())
+		}
+		x := tensor.New(maxBatch, n)
+		x.FillRandom(rand.New(rand.NewSource(24)), 1)
+		if d := tensor.MaxAbsDiff(mustExecute(t, fresh, x), mustExecute(t, pl, x)); d != 0 {
+			t.Fatalf("%v: rebatched plan differs from compiled by %g", method, d)
+		}
+		if method != Baseline {
+			if avg := testing.AllocsPerRun(10, func() { pl.Execute(x) }); avg != 0 {
+				t.Errorf("%v: rebatched Execute allocates %.1f objects per run, want 0", method, avg)
+			}
+		}
+	}
+	net := BuildSHL(Butterfly, n, classes, rand.New(rand.NewSource(25)))
+	base, err := net.CompilePlan(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := base.Rebatch(0); err == nil {
+		t.Fatal("Rebatch(0) accepted")
+	}
+}
+
 // TestPlanStepIntrospection pins the fused-step reporting contract: a
 // debugger walking Step(i) must account for every source layer exactly
 // once, with fused steps exposing both the linear layer and the folded

@@ -4,10 +4,10 @@
 // one executed batch, in the spirit of Graphcore's PopVision execution
 // profiles.
 //
-// The executors (nn.Plan, shard.ShardedPlan) write events; the serving
-// layer reads them back as a utilization summary (/debug/timeline) and
-// as Chrome trace-event JSON loadable in Perfetto. Recording is built
-// for the serving hot path:
+// The executor (shard.ShardedPlan, at any shard count) writes events;
+// the serving layer reads them back as a utilization summary
+// (/debug/timeline) and as Chrome trace-event JSON loadable in Perfetto.
+// Recording is built for the serving hot path:
 //
 //   - batches are sampled one-in-N (like obs.Tracer), so most Executes
 //     pay one atomic add and nothing else;

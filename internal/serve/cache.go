@@ -10,7 +10,6 @@ import (
 	"repro/internal/ipu"
 	"repro/internal/nn"
 	"repro/internal/shard"
-	"repro/internal/tensor"
 )
 
 // ProgramCost is the modelled device cost of one compiled batch program —
@@ -76,20 +75,29 @@ type programKey struct {
 	shards  int
 }
 
-// Executor is the host-side compiled program the batch path runs:
-// nn.Plan on one modelled IPU, shard.ShardedPlan across several. Both are
-// single-goroutine objects pooled per worker.
-type Executor interface {
-	Execute(x *tensor.Matrix) (*tensor.Matrix, error)
-	MaxBatch() int
+// lowerKey names one model version: the unit a lowering is shared by.
+type lowerKey struct {
+	model   string
+	version int
+}
+
+// lowering is one model version's nn.Plan lowering, compiled once (at
+// batch 1, so its own arenas are tiny) and rebatched by every batch
+// bucket's program: each layer is lowered and its weight panels packed
+// once per model version, not once per bucket.
+type lowering struct {
+	once sync.Once
+	plan *nn.Plan
+	err  error
 }
 
 // Program is the cache's unit of work: everything compiled once per
 // (model, version, pow2-batch, shards) key. It bundles the modelled IPU
-// cost of the batch program with a pool of host execution plans (nn.Plan,
-// or shard.ShardedPlan when the model is sharded) sized for the same batch
-// bucket, so the micro-batcher's workers run allocation-free at steady
-// state and every response can report device cost without recompiling.
+// cost of the batch program with a pool of host executors
+// (shard.ShardedPlan, at one shard the identity lowering) sized for the
+// same batch bucket, so the micro-batcher's workers run allocation-free at
+// steady state and every response can report device cost without
+// recompiling.
 type Program struct {
 	batch  int
 	shards int
@@ -105,16 +113,25 @@ type Program struct {
 	build    workloadBuilder
 	mets     *cacheMetrics // inherited from the cache; nil when uninstrumented
 
-	// net is the host network plans compile from; set the first time the
-	// program is requested with a network attached (cost-only callers pass
-	// none). plans pools per-worker Executor instances.
-	net   atomic.Pointer[nn.Sequential]
-	plans sync.Pool
+	// net is the host network the plan compiles from; set the first time
+	// the program is requested with a network attached (cost-only callers
+	// pass none).
+	net atomic.Pointer[nn.Sequential]
+
+	// plan is the program's nn.Plan, rebatched on first use from the
+	// model version's one lowering (lower), so its buckets share the
+	// lowered kernels and packed weight panels. The fusion block, the
+	// shard estimate and every pooled executor share plan; plans pools
+	// the per-worker *shard.ShardedPlan executors compiled from it.
+	lower    *lowering
+	planOnce sync.Once
+	plan     *nn.Plan
+	planErr  error
+	plans    sync.Pool
 
 	// scOnce memoizes the shard planner's verdict (strategy, per-IPU
-	// memory, exchange) and the 1-shard reference estimate, so GetPlan
-	// misses and Cost share one estimate and at most one probe plan
-	// compile per program.
+	// memory, exchange, wavefront width) and the 1-shard reference
+	// estimate, so GetPlan misses and Cost share one estimate.
 	scOnce sync.Once
 	sc     shard.Cost
 	scOne  shard.Cost
@@ -146,42 +163,52 @@ func (p *Program) Cost() (*ProgramCost, error) {
 		if p.mets != nil {
 			p.mets.compile.Observe(p.cost.CompileSeconds)
 		}
-		pl, err := p.fusionCost(p.cost)
-		if err != nil {
+		if err := p.fusionCost(p.cost); err != nil {
 			p.cost, p.costErr = nil, err
 			p.costDone.Store(true)
 			return
 		}
 		if p.shards > 1 {
-			// The fusion probe's plan seeds the shard estimate, so a
-			// sharded cost query compiles the host plan exactly once.
-			p.costErr = p.shardCost(p.cost, pl)
+			p.costErr = p.shardCost(p.cost)
 			if p.costErr != nil {
 				p.cost = nil
 			}
-		} else if pl != nil {
-			// Donate the probe plan to the executor pool: the first
-			// Predict after a Cost pays no second compile.
-			p.plans.Put(pl)
 		}
 		p.costDone.Store(true)
 	})
 	return p.cost, p.costErr
 }
 
-// fusionCost annotates the cost with the host plan's fusion silhouette
-// (step counts, arena bytes, modelled activation-arena traffic) and
-// returns the plan it compiled. Cost-only programs — no host network
-// attached — skip the block and return nil; a network that fails to
-// compile is a real error, not a silent cost-only silhouette.
-func (p *Program) fusionCost(cost *ProgramCost) (*nn.Plan, error) {
+// hostPlan returns the program's nn.Plan, rebatching the model's lowering
+// on first use. Without a host network it reports errNoHostNet and
+// leaves the compile for a later caller that attached one.
+func (p *Program) hostPlan() (*nn.Plan, error) {
 	net := p.net.Load()
 	if net == nil {
-		return nil, nil
+		return nil, errNoHostNet
 	}
-	pl, err := net.CompilePlan(p.batch)
+	p.planOnce.Do(func() {
+		l := p.lower
+		l.once.Do(func() { l.plan, l.err = net.CompilePlan(1) })
+		if p.planErr = l.err; p.planErr == nil {
+			p.plan, p.planErr = l.plan.Rebatch(p.batch)
+		}
+	})
+	return p.plan, p.planErr
+}
+
+// fusionCost annotates the cost with the host plan's fusion silhouette
+// (step counts, arena bytes, modelled activation-arena traffic).
+// Cost-only programs — no host network attached — skip the block; a
+// network that fails to compile is a real error, not a silent cost-only
+// silhouette.
+func (p *Program) fusionCost(cost *ProgramCost) error {
+	if p.net.Load() == nil {
+		return nil
+	}
+	pl, err := p.hostPlan()
 	if err != nil {
-		return nil, fmt.Errorf("serve: compiling host plan for fusion cost: %w", err)
+		return fmt.Errorf("serve: compiling host plan for fusion cost: %w", err)
 	}
 	st := pl.Stats()
 	cost.PlanSteps = st.Steps
@@ -190,26 +217,17 @@ func (p *Program) fusionCost(cost *ProgramCost) (*nn.Plan, error) {
 	cost.PlanArenaBytes = st.ArenaBytes
 	cost.TrafficBytes = st.TrafficBytes
 	cost.TrafficBytesUnfused = st.TrafficBytesBeforeFusion
-	return pl, nil
+	return nil
 }
 
-// shardEstimate memoizes the shard planner's verdict for this program.
-// pl may carry a freshly compiled plan to reuse; pass nil to have the
-// memo compile its own probe (only the first caller's plan is consulted).
-func (p *Program) shardEstimate(pl *nn.Plan) (shard.Cost, error) {
+// shardEstimate memoizes the shard planner's verdict for this program,
+// priced from its host plan.
+func (p *Program) shardEstimate() (shard.Cost, error) {
+	pl, err := p.hostPlan()
+	if err != nil {
+		return shard.Cost{}, err
+	}
 	p.scOnce.Do(func() {
-		if pl == nil {
-			net := p.net.Load()
-			if net == nil {
-				p.scErr = errNoHostNet
-				return
-			}
-			var err error
-			if pl, err = net.CompilePlan(p.batch); err != nil {
-				p.scErr = err
-				return
-			}
-		}
 		if p.sc, p.scErr = shard.EstimateBudgetMicro(pl, p.batch, p.shards, p.topo, p.budget, p.micro); p.scErr != nil {
 			return
 		}
@@ -220,14 +238,13 @@ func (p *Program) shardEstimate(pl *nn.Plan) (shard.Cost, error) {
 
 // shardCost folds the shard planner's estimate into a single-chip program
 // cost: per-IPU residency, exchange traffic, and the latency of the
-// partitioned run. pl may carry an already compiled host plan to estimate
-// from (nil compiles a probe). The compute portion is scaled by the
-// planner's own sharded-vs-unsharded compute ratio (1 for pipeline;
-// between 1/S and 1 for tensor parallelism, since replicated rank
-// bottlenecks do not divide), keeping the served latency consistent with
-// the planner's Cost for the same plan.
-func (p *Program) shardCost(cost *ProgramCost, pl *nn.Plan) error {
-	sc, err := p.shardEstimate(pl)
+// partitioned run. The compute portion is scaled by the planner's own
+// sharded-vs-unsharded compute ratio (1 for pipeline; between 1/S and 1
+// for tensor parallelism, since replicated rank bottlenecks do not
+// divide), keeping the served latency consistent with the planner's Cost
+// for the same plan.
+func (p *Program) shardCost(cost *ProgramCost) error {
+	sc, err := p.shardEstimate()
 	if err != nil {
 		return err
 	}
@@ -255,31 +272,24 @@ func (p *Program) shardCost(cost *ProgramCost, pl *nn.Plan) error {
 	return nil
 }
 
-// GetPlan hands out a pooled host execution plan — sharded across the
-// program's modelled IPUs when shards > 1 — compiling a fresh instance
-// when the pool is empty. Callers must return it with PutPlan after
-// copying anything they need out of its buffers.
-func (p *Program) GetPlan() (Executor, error) {
+// GetPlan hands out a pooled host executor over the program's modelled
+// IPUs (one shard is the identity lowering of the host plan), compiling a
+// fresh instance from the shared host plan when the pool is empty.
+// Callers must return it with PutPlan after copying anything they need
+// out of its buffers.
+func (p *Program) GetPlan() (*shard.ShardedPlan, error) {
 	if v := p.plans.Get(); v != nil {
-		return v.(Executor), nil
+		return v.(*shard.ShardedPlan), nil
 	}
-	net := p.net.Load()
-	if net == nil {
-		return nil, errNoHostNet
-	}
-	pl, err := net.CompilePlan(p.batch)
-	if err != nil || p.shards <= 1 {
-		return pl, err
-	}
-	sc, err := p.shardEstimate(pl)
+	sc, err := p.shardEstimate()
 	if err != nil {
 		return nil, err
 	}
-	return shard.CompileMicro(pl, p.topo, p.shards, sc.Strategy, p.micro)
+	return shard.CompileMicro(p.plan, p.topo, p.shards, sc.Strategy, p.micro)
 }
 
 // PutPlan returns a plan obtained from GetPlan to the pool.
-func (p *Program) PutPlan(pl Executor) {
+func (p *Program) PutPlan(pl *shard.ShardedPlan) {
 	if pl != nil {
 		p.plans.Put(pl)
 	}
@@ -295,8 +305,9 @@ type ProgramCache struct {
 	budget int
 	micro  int // forced wavefront width for pipeline programs (0 = auto)
 
-	mu      sync.Mutex
-	entries map[programKey]*Program
+	mu        sync.Mutex
+	entries   map[programKey]*Program
+	lowerings map[lowerKey]*lowering
 
 	hits      atomic.Int64
 	misses    atomic.Int64
@@ -318,7 +329,8 @@ func NewProgramCache(cfg ipu.Config) *ProgramCache {
 // partitioning strategy against the per-IPU memory budget (0 = full
 // SRAM).
 func NewShardedProgramCache(cfg ipu.Config, topo shard.Topology, budgetBytes int) *ProgramCache {
-	return &ProgramCache{cfg: cfg, topo: topo, budget: budgetBytes, entries: map[programKey]*Program{}}
+	return &ProgramCache{cfg: cfg, topo: topo, budget: budgetBytes,
+		entries: map[programKey]*Program{}, lowerings: map[lowerKey]*lowering{}}
 }
 
 // SetMicroBatches forces the wavefront width of every pipeline-partitioned
@@ -362,7 +374,13 @@ func (c *ProgramCache) lookup(name string, version, batch, shards int, net *nn.S
 	c.mu.Lock()
 	p, ok := c.entries[key]
 	if !ok {
-		p = &Program{batch: batch, shards: shards, micro: c.micro, topo: c.topo, budget: c.budget, cfg: c.cfg, build: build, mets: c.mets}
+		lk := lowerKey{model: name, version: version}
+		l := c.lowerings[lk]
+		if l == nil {
+			l = &lowering{}
+			c.lowerings[lk] = l
+		}
+		p = &Program{batch: batch, shards: shards, micro: c.micro, topo: c.topo, budget: c.budget, cfg: c.cfg, build: build, mets: c.mets, lower: l}
 		c.entries[key] = p
 	}
 	if count {
@@ -396,6 +414,7 @@ func (c *ProgramCache) Evict(name string, version int) {
 			c.evictions.Add(1)
 		}
 	}
+	delete(c.lowerings, lowerKey{model: name, version: version})
 	c.mu.Unlock()
 }
 

@@ -149,8 +149,7 @@ func TestProgramCostFusionBlock(t *testing.T) {
 		t.Fatalf("PlanArenaBytes = %d, want > 0", cost.PlanArenaBytes)
 	}
 
-	// The plan compiled for the fusion block is donated to the pool: the
-	// first GetPlan must not compile again but still execute correctly.
+	// The pooled executor compiles from the plan the fusion block priced.
 	pl, err := p.GetPlan()
 	if err != nil {
 		t.Fatal(err)
@@ -159,4 +158,44 @@ func TestProgramCostFusionBlock(t *testing.T) {
 		t.Fatalf("pooled plan MaxBatch = %d, want 8", pl.MaxBatch())
 	}
 	p.PutPlan(pl)
+}
+
+// TestProgramsShareLowering pins that every batch bucket of one model
+// version rebatches one lowering (so weight panels are packed once per
+// model version), that another version gets its own, and that eviction
+// drops it with the programs.
+func TestProgramsShareLowering(t *testing.T) {
+	c := NewProgramCache(ipu.GC200())
+	sp := ModelSpec{Name: "m", Method: nn.Baseline, N: 64, Classes: 10, Seed: 1}
+	net, err := buildNet(sp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	build := func(cfg ipu.Config, b int) (*ipu.Workload, error) { return buildWorkload(cfg, sp, b) }
+	program := func(version, batch int) *Program {
+		t.Helper()
+		p, err := c.Program(sp.Name, version, batch, 1, net, build)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pl, err := p.hostPlan()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if pl.MaxBatch() != batch {
+			t.Fatalf("bucket %d plan MaxBatch = %d", batch, pl.MaxBatch())
+		}
+		return p
+	}
+	p1, p8, other := program(1, 1), program(1, 8), program(2, 8)
+	if p1.lower != p8.lower || p1.lower.plan == nil {
+		t.Fatal("buckets of one model version do not share one compiled lowering")
+	}
+	if other.lower == p1.lower {
+		t.Fatal("two model versions share a lowering")
+	}
+	c.Evict(sp.Name, 1)
+	if program(1, 8).lower == p1.lower {
+		t.Fatal("eviction kept the evicted version's lowering")
+	}
 }

@@ -4,13 +4,17 @@ import (
 	"context"
 	"encoding/json"
 	"io"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/nn"
+	"repro/internal/tensor"
 )
 
 // TestCostModelEndpoint drives traffic through a model and checks the
@@ -165,4 +169,59 @@ func TestTracesConcurrentScrape(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+}
+
+// TestStepInstrumentsPerBucket pins step instruments to the executor that
+// actually ran: the planner picks the partitioning per batch bucket, and
+// a 2-shard pixelfly at N=1024 pipelines small buckets but splits bucket
+// 64 tensor-parallel. After one 1-row and one 64-row batch, the cost-model
+// report must list both step lists, each with only its own rows, and the
+// kernel variants must include both BSR kernels.
+func TestStepInstrumentsPerBucket(t *testing.T) {
+	reg := NewRegistry(Options{
+		Batcher: BatcherConfig{MaxBatch: 64, MaxDelay: time.Millisecond, Workers: 1},
+		NumIPUs: 2,
+		Shards:  2,
+	})
+	t.Cleanup(reg.Close)
+	m, err := reg.Register(ModelSpec{Name: "pf", Method: nn.Pixelfly, N: 1024, Classes: 10, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	strategy := func(rows int) string {
+		cost, err := m.ModelledCost(rows)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return cost.Strategy
+	}
+	if small, large := strategy(1), strategy(64); small != "pipeline" || large != "tensor-parallel" {
+		t.Fatalf("planner picked %s for bucket 1 and %s for bucket 64; this test needs pipeline and tensor-parallel", small, large)
+	}
+	for _, rows := range []int{1, 64} {
+		x := tensor.New(rows, 1024)
+		x.FillRandom(rand.New(rand.NewSource(int64(rows))), 1)
+		m.runBatch(x, new(execInfo))
+	}
+
+	rowsByStep := map[string]int64{}
+	for _, d := range m.CostModelReport() {
+		rowsByStep[d.Step] = d.Rows
+		if d.ModelledSeconds <= 0 || d.MeasuredSeconds <= 0 || d.Ratio <= 0 {
+			t.Errorf("step %q has no drift measurement: %+v", d.Step, d)
+		}
+	}
+	for step, want := range map[string]int64{
+		"pixelfly(1024)+relu@ipu0": 1,
+		"dense(1024x10)@ipu1":      1,
+		"pixelfly(1024)+relu/tp":   64,
+		"dense(1024x10)/tp":        64,
+	} {
+		if got, ok := rowsByStep[step]; !ok || got != want {
+			t.Errorf("step %q: rows %d (listed %v), want %d; report rows %v", step, got, ok, want, rowsByStep)
+		}
+	}
+	if got := m.KernelVariants()["bsr"]; !slices.Equal(got, []string{"blocktiled", "reference"}) {
+		t.Errorf("bsr variants = %v, want [blocktiled reference]", got)
+	}
 }

@@ -2,14 +2,14 @@ package serve
 
 import (
 	"math"
+	"math/bits"
+	"slices"
 	"sort"
 	"strconv"
-	"strings"
+	"sync"
 	"sync/atomic"
 
-	"repro/internal/nn"
 	"repro/internal/obs"
-	"repro/internal/obs/timeline"
 	"repro/internal/shard"
 )
 
@@ -120,208 +120,158 @@ func newBatcherMetrics(reg *obs.Registry, name string) *batcherMetrics {
 	}
 }
 
-// stepObs is the per-plan-step instrument set, built lazily on the first
-// executed batch (step names come from the compiled plan) and shared by
-// every batch after: one latency histogram per step plus the precomputed
-// "step:<name>" span labels, so per-step recording allocates nothing.
-// Step names are stable per model - fusion and sharding are decided at
-// install time and do not depend on the batch bucket.
+// stepInst is the instrument set of one named executor step, shared by
+// every batch bucket whose executor runs a step of that name (the planner
+// picks the partitioning per bucket, so buckets may run different step
+// lists): its latency histogram, the "step:<name>" span label, the kernel
+// family and variant it dispatched to, and the cost-model drift
+// accumulators. Duplicate step names (two identical layers) share one
+// instrument set.
+type stepInst struct {
+	name    string
+	span    string
+	hist    *obs.Histogram
+	kernel  string
+	variant string
+
+	// Drift accounting: measured nanos and rows, and the modelled seconds
+	// of the same rows, priced by each batch's own executor — buckets can
+	// price a step differently per row, so the modelled side accumulates
+	// per batch rather than as one per-row constant. The drift ratio,
+	// measured over modelled, is derived at scrape/report time. Its
+	// absolute level reflects host-Go-loops vs modelled-IPU scale and is
+	// expected far from 1; what the detector watches is the ratio changing
+	// between runs.
+	nanos    atomic.Int64
+	rows     atomic.Int64
+	modelled atomic.Uint64 // float64 bits, seconds
+}
+
+func (si *stepInst) addModelled(sec float64) {
+	for {
+		old := si.modelled.Load()
+		if si.modelled.CompareAndSwap(old, math.Float64bits(math.Float64frombits(old)+sec)) {
+			return
+		}
+	}
+}
+
+// drift returns the step's per-row measured and modelled seconds, their
+// ratio (0 until the step has executed with a modelled cost) and the rows
+// executed.
+func (si *stepInst) drift() (measured, modelled, ratio float64, rows int64) {
+	rows = si.rows.Load()
+	if rows == 0 {
+		return 0, 0, 0, 0
+	}
+	measured = float64(si.nanos.Load()) / float64(rows) / 1e9
+	modelled = math.Float64frombits(si.modelled.Load()) / float64(rows)
+	if measured > 0 && modelled > 0 {
+		ratio = measured / modelled
+	}
+	return measured, modelled, ratio, rows
+}
+
+// stepObs is a model's per-step instrument registry: instruments by step
+// name in first-seen order, and per batch bucket (indexed by log2 of the
+// bucket) the bucket executor's step → instrument mapping, built on the
+// bucket's first batch and read lock-free after.
 type stepObs struct {
-	spanNames []string
-	hists     []*obs.Histogram
-
-	// variants[i] names the micro-kernel variant step i dispatched to at
-	// compile time ("" for executors that predate the dispatcher or for
-	// steps with no kernel family); kernels[i] is the step's Into-kernel
-	// family name. Together they feed the kernel-variant gauge, the drift
-	// report and the loadgen kernel table.
-	variants []string
-	kernels  []string
-
-	// Cost-model drift accounting: modelled[i] is the modelled per-row
-	// seconds of step i under the registry's topology (0 when the step has
-	// no cost model), measured[i] the running measured nanos and rows. The
-	// drift ratio — measured per-row seconds over modelled — is derived at
-	// scrape/report time, so the batch hot path only pays two atomic adds
-	// per step. The ratio's absolute level reflects host-Go-loops vs
-	// modelled-IPU scale and is expected far from 1; what the detector
-	// watches is the ratio *changing* between runs.
-	modelled []float64
-	measured []driftAcc
+	mu      sync.Mutex
+	byName  map[string]*stepInst
+	order   []*stepInst
+	layouts [64]atomic.Pointer[[]*stepInst]
 }
 
-// driftAcc accumulates one step's measured execution: total nanoseconds
-// and total rows, from which the per-row measured cost is derived.
-type driftAcc struct {
-	nanos atomic.Int64
-	rows  atomic.Int64
+// all returns the model's step instruments in first-seen order.
+func (so *stepObs) all() []*stepInst {
+	so.mu.Lock()
+	defer so.mu.Unlock()
+	return so.order
 }
 
-// modelledPerRow prices each step of the executor at one row under the
-// topology: the unsharded plan through the cost model's per-class compute
-// rates, the sharded plan through its own modelled micro-step seconds
-// (compute split + exchange) scaled down from MaxBatch.
-func modelledPerRow(se steppedExecutor, topo shard.Topology) []float64 {
-	switch ex := se.(type) {
-	case *nn.Plan:
-		return shard.PlanStepSeconds(ex, 1, topo)
-	case *shard.ShardedPlan:
-		ms := ex.ModelledStepSeconds()
-		out := make([]float64, len(ms))
-		inv := 1 / float64(ex.MaxBatch())
-		for i, v := range ms {
-			out[i] = v * inv
+// layout returns the step instruments of the executor serving batch
+// bucket (a power of two), nil before that bucket's first batch.
+func (so *stepObs) layout(bucket int) []*stepInst {
+	if l := so.layouts[bits.TrailingZeros(uint(bucket))].Load(); l != nil {
+		return *l
+	}
+	return nil
+}
+
+// stepLayout returns the step instruments index-aligned with sp's steps,
+// building them on the bucket's first batch: new step names get their
+// histogram, drift gauge and kernel-variant gauge, and the model's flight
+// recorder is described by its first executor.
+func (m *Model) stepLayout(sp *shard.ShardedPlan) []*stepInst {
+	so := &m.steps
+	if l := so.layout(sp.MaxBatch()); l != nil {
+		return l
+	}
+	so.mu.Lock()
+	defer so.mu.Unlock()
+	if l := so.layout(sp.MaxBatch()); l != nil {
+		return l
+	}
+	if so.byName == nil {
+		so.byName = map[string]*stepInst{}
+	}
+	lm := obs.L{Key: "model", Value: m.spec.Name}
+	modelled := sp.ModelledStepSeconds()
+	names := sp.Steps()
+	insts := make([]*stepInst, len(names))
+	for i, nm := range names {
+		si := so.byName[nm]
+		if si == nil {
+			si = &stepInst{
+				name:    nm,
+				span:    "step:" + nm,
+				kernel:  sp.StepKernel(i).String(),
+				variant: sp.StepVariant(i),
+				hist:    m.obsReg.Histogram(metPlanStep, obs.LatencyBuckets(), lm, obs.L{Key: "step", Value: nm}),
+			}
+			so.byName[nm] = si
+			so.order = append(so.order, si)
+			if modelled[i] > 0 {
+				m.obsReg.GaugeFunc(metDrift, func() float64 { _, _, r, _ := si.drift(); return r },
+					lm, obs.L{Key: "step", Value: nm})
+			}
+			// The active variant per kernel family, as a {model, kernel,
+			// variant} gauge pinned to 1 — duplicate (family, variant)
+			// pairs share one series via the registry's label dedup.
+			if si.variant != "" {
+				m.obsReg.Gauge(metKernelVariant, lm,
+					obs.L{Key: "kernel", Value: si.kernel},
+					obs.L{Key: "variant", Value: si.variant}).Set(1)
+			}
 		}
-		return out
-	default:
+		insts[i] = si
+	}
+	so.layouts[bits.TrailingZeros(uint(sp.MaxBatch()))].Store(&insts)
+	if m.timeline != nil {
+		m.timeline.SetMeta(sp.TimelineMeta(m.spec.Name))
+	}
+	return insts
+}
+
+// KernelVariants returns the micro-kernel variants each Into-kernel
+// family of the model's executed steps dispatched to, keyed by family
+// name, sorted and distinct (batch buckets partitioned differently can
+// run one family through different kernels). Nil until the first batch
+// has executed (step instruments are built lazily).
+func (m *Model) KernelVariants() map[string][]string {
+	insts := m.steps.all()
+	if len(insts) == 0 {
 		return nil
 	}
-}
-
-// driftRatio is the scrape-time drift gauge value: measured per-row
-// seconds over modelled, 0 until the step has executed at least once.
-func driftRatio(acc *driftAcc, modelled float64) float64 {
-	rows := acc.rows.Load()
-	if rows == 0 || modelled <= 0 {
-		return 0
-	}
-	return float64(acc.nanos.Load()) / float64(rows) / 1e9 / modelled
-}
-
-// steppedExecutor is the introspection surface both executor kinds
-// (nn.Plan, shard.ShardedPlan) share: lowered step names and the measured
-// wall time of each step of the most recent Execute.
-type steppedExecutor interface {
-	Executor
-	Steps() []string
-	LastStepNanos() []int64
-}
-
-// variantReporter is the kernel-dispatch introspection surface both
-// executor kinds also share: which micro-kernel variant each step
-// compiled to and which Into-kernel family it belongs to. Kept a
-// separate interface so stepInstruments degrades gracefully for
-// executors without it.
-type variantReporter interface {
-	StepVariant(i int) string
-	StepKernel(i int) obs.Kernel
-}
-
-// stepInstruments returns the model's per-step instruments, building them
-// from the executor's step list on first use. Duplicate step names (two
-// identical layers) share one histogram series.
-func (m *Model) stepInstruments(se steppedExecutor) *stepObs {
-	if so := m.stepObs.Load(); so != nil {
-		return so
-	}
-	names := se.Steps()
-	so := &stepObs{
-		spanNames: make([]string, len(names)),
-		hists:     make([]*obs.Histogram, len(names)),
-		variants:  make([]string, len(names)),
-		kernels:   make([]string, len(names)),
-		modelled:  modelledPerRow(se, m.topo),
-		measured:  make([]driftAcc, len(names)),
-	}
-	if vr, ok := se.(variantReporter); ok {
-		for i := range names {
-			so.variants[i] = vr.StepVariant(i)
-			so.kernels[i] = vr.StepKernel(i).String()
+	out := map[string][]string{}
+	for _, si := range insts {
+		if si.variant != "" && !slices.Contains(out[si.kernel], si.variant) {
+			out[si.kernel] = append(out[si.kernel], si.variant)
 		}
 	}
-	if len(so.modelled) != len(names) {
-		so.modelled = make([]float64, len(names))
-	}
-	for i, nm := range names {
-		so.spanNames[i] = "step:" + nm
-		so.hists[i] = m.obsReg.Histogram(metPlanStep, obs.LatencyBuckets(),
-			obs.L{Key: "model", Value: m.spec.Name}, obs.L{Key: "step", Value: nm})
-	}
-	if !m.stepObs.CompareAndSwap(nil, so) {
-		return m.stepObs.Load()
-	}
-	// Export the drift gauge for every step the cost model prices. The
-	// gauges close over the winning stepObs' accumulators, so registration
-	// happens only on the CAS winner.
-	for i, nm := range names {
-		if so.modelled[i] <= 0 {
-			continue
-		}
-		acc, mod := &so.measured[i], so.modelled[i]
-		m.obsReg.GaugeFunc(metDrift, func() float64 { return driftRatio(acc, mod) },
-			obs.L{Key: "model", Value: m.spec.Name}, obs.L{Key: "step", Value: nm})
-	}
-	// Export the active variant per kernel family as a {model, kernel,
-	// variant} gauge pinned to 1 — duplicate (family, variant) pairs share
-	// one series via the registry's label dedup.
-	for i := range names {
-		if so.variants[i] == "" {
-			continue
-		}
-		m.obsReg.Gauge(metKernelVariant,
-			obs.L{Key: "model", Value: m.spec.Name},
-			obs.L{Key: "kernel", Value: so.kernels[i]},
-			obs.L{Key: "variant", Value: so.variants[i]}).Set(1)
-	}
-	m.installTimelineMeta(se, so)
-	return so
-}
-
-// installTimelineMeta describes the executor to the model's flight
-// recorder: step names, kernel families, variants and the cost model's
-// per-row modelled phase seconds. First executor wins (SetMeta is
-// first-write; step layout is identical across a model's batch
-// buckets), so the recorder's events stay index-only.
-func (m *Model) installTimelineMeta(se steppedExecutor, so *stepObs) {
-	if m.timeline == nil {
-		return
-	}
-	meta := &timeline.Meta{
-		Model:    m.spec.Name,
-		Shards:   1,
-		Steps:    append([]string(nil), se.Steps()...),
-		Kernels:  append([]string(nil), so.kernels...),
-		Variants: append([]string(nil), so.variants...),
-	}
-	switch ex := se.(type) {
-	case *nn.Plan:
-		meta.ComputeSecPerRow = shard.PlanStepSeconds(ex, 1, m.topo)
-	case *shard.ShardedPlan:
-		meta.Strategy = ex.Strategy().String()
-		meta.Shards = ex.Shards()
-		meta.MicroBatches = ex.MicroBatches()
-		comp, exch := ex.ModelledPhaseSeconds()
-		inv := 1 / float64(ex.MaxBatch())
-		meta.ComputeSecPerRow = scaled(comp, inv)
-		meta.ExchangeSecPerRow = scaled(exch, inv)
-	}
-	m.timeline.SetMeta(meta)
-}
-
-// scaled returns v element-wise multiplied by s, as a fresh slice.
-func scaled(v []float64, s float64) []float64 {
-	out := make([]float64, len(v))
-	for i, x := range v {
-		out[i] = x * s
-	}
-	return out
-}
-
-// KernelVariants returns the micro-kernel variant each Into-kernel
-// family of the model's compiled steps dispatched to, keyed by family
-// name. Nil until the first batch has executed (step instruments are
-// built lazily); empty for executors without variant introspection.
-func (m *Model) KernelVariants() map[string]string {
-	so := m.stepObs.Load()
-	if so == nil {
-		return nil
-	}
-	out := map[string]string{}
-	for i, v := range so.variants {
-		if v == "" {
-			continue
-		}
-		out[so.kernels[i]] = v
+	for _, vs := range out {
+		slices.Sort(vs)
 	}
 	return out
 }
@@ -329,34 +279,28 @@ func (m *Model) KernelVariants() map[string]string {
 // observeExec harvests the executor's measured timings after one batch:
 // per-step wall time into the execution report (for the request traces),
 // the step/shard histograms, and the cost-model drift accumulators (rows
-// is the executed batch size the per-row measured cost divides by). Runs
-// on the batcher worker, once per batch, allocation-free after the first
-// batch builds the instruments.
-func (m *Model) observeExec(ex Executor, info *execInfo, rows int) {
-	se, ok := ex.(steppedExecutor)
-	if !ok {
-		return
-	}
-	nanos := se.LastStepNanos()
-	n := len(nanos)
-	if n > maxTraceSteps {
-		n = maxTraceSteps
-	}
+// is the executed batch size). Runs on the batcher worker, once per
+// batch, allocation-free after the bucket's first batch builds its
+// layout.
+func (m *Model) observeExec(sp *shard.ShardedPlan, info *execInfo, rows int) {
+	nanos := sp.LastStepNanos()
+	n := min(len(nanos), maxTraceSteps)
 	info.nsteps = n
 	copy(info.stepNanos[:n], nanos[:n])
 	if m.obsReg == nil {
 		return
 	}
-	so := m.stepInstruments(se)
-	for i := 0; i < n && i < len(so.hists); i++ {
-		so.hists[i].Observe(float64(nanos[i]) / 1e9)
+	modelled := sp.ModelledStepSeconds()
+	// ModelledStepSeconds prices one MaxBatch execution; scale it to the
+	// rows this batch actually carried.
+	scale := float64(rows) / float64(sp.MaxBatch())
+	for i, si := range m.stepLayout(sp) {
+		si.hist.Observe(float64(nanos[i]) / 1e9)
+		si.nanos.Add(nanos[i])
+		si.rows.Add(int64(rows))
+		si.addModelled(modelled[i] * scale)
 	}
-	for i := 0; i < len(nanos) && i < len(so.measured); i++ {
-		so.measured[i].nanos.Add(nanos[i])
-		so.measured[i].rows.Add(int64(rows))
-	}
-	sp, ok := ex.(*shard.ShardedPlan)
-	if !ok || m.mets == nil || len(m.mets.shardCompute) == 0 {
+	if m.mets == nil || len(m.mets.shardCompute) == 0 {
 		return
 	}
 	comp := sp.LastComputeNanos()
@@ -408,24 +352,14 @@ func driftDist(ratio float64) float64 {
 // comparison, worst offenders (largest |log ratio|) first. Nil until the
 // first batch has executed (step instruments are built lazily).
 func (m *Model) CostModelReport() []StepCostDrift {
-	so := m.stepObs.Load()
-	if so == nil {
+	insts := m.steps.all()
+	if len(insts) == 0 {
 		return nil
 	}
-	out := make([]StepCostDrift, 0, len(so.measured))
-	for i := range so.measured {
-		d := StepCostDrift{
-			Step:            strings.TrimPrefix(so.spanNames[i], "step:"),
-			Variant:         so.variants[i],
-			ModelledSeconds: so.modelled[i],
-			Rows:            so.measured[i].rows.Load(),
-		}
-		if d.Rows > 0 {
-			d.MeasuredSeconds = float64(so.measured[i].nanos.Load()) / float64(d.Rows) / 1e9
-		}
-		if d.ModelledSeconds > 0 && d.MeasuredSeconds > 0 {
-			d.Ratio = d.MeasuredSeconds / d.ModelledSeconds
-		}
+	out := make([]StepCostDrift, 0, len(insts))
+	for _, si := range insts {
+		d := StepCostDrift{Step: si.name, Variant: si.variant}
+		d.MeasuredSeconds, d.ModelledSeconds, d.Ratio, d.Rows = si.drift()
 		out = append(out, d)
 	}
 	sort.SliceStable(out, func(i, j int) bool { return driftDist(out[i].Ratio) > driftDist(out[j].Ratio) })
@@ -434,18 +368,19 @@ func (m *Model) CostModelReport() []StepCostDrift {
 
 // traceSpans replays the batch timing block of one response into a
 // sampled trace: queue wait, the batched execute, and one span per
-// compiled-plan step (offsets chained inside the execute window).
+// executor step (offsets chained inside the execute window), named after
+// the steps of the executor that served the response's batch bucket.
 func (m *Model) traceSpans(tr *obs.Trace, resp *response) {
 	tr.Batch = resp.batch
 	execOff := resp.execStart.Sub(tr.Start).Nanoseconds()
 	tr.AddSpan("queue_wait", execOff-resp.queueNanos, resp.queueNanos)
 	tr.AddSpan("execute", execOff, resp.execNanos)
-	so := m.stepObs.Load()
+	insts := m.steps.layout(nextPow2(resp.batch))
 	off := execOff
 	for i := 0; i < resp.nsteps; i++ {
 		name := "step"
-		if so != nil && i < len(so.spanNames) {
-			name = so.spanNames[i]
+		if i < len(insts) {
+			name = insts[i].span
 		}
 		tr.AddSpan(name, off, resp.stepNanos[i])
 		off += resp.stepNanos[i]

@@ -15,7 +15,6 @@ import (
 	"testing"
 
 	"repro/internal/nn"
-	"repro/internal/shard"
 	"repro/internal/tensor"
 )
 
@@ -138,16 +137,31 @@ func TestTraceStepSpansMatchPlan(t *testing.T) {
 		t.Fatal("no traces at sample-every=1")
 	}
 	last := snap[len(snap)-1]
-	stepSpans := 0
+	var stepSpans []string
 	var total int64
 	for _, sp := range last.Spans {
 		if strings.HasPrefix(sp.Name, "step:") {
-			stepSpans++
+			stepSpans = append(stepSpans, sp.Name)
 			total += sp.DurNanos
 		}
 	}
-	if stepSpans != planSteps {
-		t.Fatalf("trace has %d step spans, plan has %d steps (trace %+v)", stepSpans, planSteps, last)
+	if len(stepSpans) != planSteps {
+		t.Fatalf("trace has %d step spans, plan has %d steps (trace %+v)", len(stepSpans), planSteps, last)
+	}
+	// The single-IPU executor's steps are the plan's own, unsuffixed: the
+	// spans (and the step metric labels) read exactly as Plan.Steps.
+	net, err := buildNet(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pl, err := net.CompilePlan(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, name := range pl.Steps() {
+		if stepSpans[i] != "step:"+name {
+			t.Fatalf("step span %d = %q, want %q (spans %v)", i, stepSpans[i], "step:"+name, stepSpans)
+		}
 	}
 	if total <= 0 {
 		t.Fatalf("step spans carry no measured time: %+v", last.Spans)
@@ -425,10 +439,3 @@ func TestBatcherFlushReasons(t *testing.T) {
 		}
 	}
 }
-
-// Compile-time check that both executor kinds expose the step-timing
-// introspection observeExec relies on.
-var (
-	_ steppedExecutor = (*nn.Plan)(nil)
-	_ steppedExecutor = (*shard.ShardedPlan)(nil)
-)

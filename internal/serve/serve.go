@@ -178,17 +178,17 @@ type Model struct {
 	// (for the lazily built per-step instruments), the per-model
 	// instruments, the request tracer, and the per-step instrument set.
 	// All nil/zero for models built outside a registry.
-	obsReg  *obs.Registry
-	tracer  *obs.Tracer
-	mets    *modelMetrics
-	stepObs atomic.Pointer[stepObs]
+	obsReg *obs.Registry
+	tracer *obs.Tracer
+	mets   *modelMetrics
+	steps  stepObs
 
 	// kstats is the registry-wide per-kernel accounting sink, installed on
-	// every pooled plan before execution (nil outside a registry).
+	// every pooled executor before execution (nil outside a registry).
 	kstats *obs.KernelStats
 
 	// timeline is the model's BSP phase flight recorder, installed on
-	// every pooled plan before execution like kstats; it samples one
+	// every pooled executor before execution like kstats; it samples one
 	// batch in N into the /debug/timeline ring and the phase gauges.
 	// Nil when disabled (or outside a registry) — then executors emit no
 	// events at all.
@@ -335,11 +335,11 @@ func (m *Model) ModelledCost(batch int) (*ProgramCost, error) {
 }
 
 // runBatch is the micro-batcher's inference function: it executes the
-// batch on a pooled compiled plan (allocation-free at steady state except
-// the result copy handed to responses) and falls back to the generic
-// read-only forward pass if the plan path is unavailable. The executor's
-// measured per-step timings are harvested into info (and the per-step
-// histograms) before the plan returns to the pool; the fallback path
+// batch on a pooled compiled executor (allocation-free at steady state
+// except the result copy handed to responses) and falls back to the
+// generic read-only forward pass if the executor is unavailable. The
+// executor's measured per-step timings are harvested into info (and the
+// per-step histograms) before it returns to the pool; the fallback path
 // leaves info empty.
 func (m *Model) runBatch(x *tensor.Matrix, info *execInfo) *tensor.Matrix {
 	if m.pprofCtx != nil {
@@ -352,24 +352,12 @@ func (m *Model) runBatch(x *tensor.Matrix, info *execInfo) *tensor.Matrix {
 	prog, err := m.cache.programQuiet(m.spec.Name, m.version, nextPow2(x.Rows), m.shards, m.net, m.workload)
 	if err == nil {
 		if pl, perr := prog.GetPlan(); perr == nil {
-			if m.kstats != nil {
-				if ks, ok := pl.(kernelSink); ok {
-					ks.SetKernelStats(m.kstats)
-				}
-			}
-			if m.timeline != nil {
-				if ts, ok := pl.(timelineSink); ok {
-					ts.SetTimeline(m.timeline)
-				}
-			}
-			if m.pprofCtx != nil {
-				if ps, ok := pl.(pprofSink); ok {
-					// Sharded executors refine the model label with a
-					// per-shard ipu=<k> on their goroutines (idempotent
-					// per context, so repeating it every batch is free).
-					ps.SetPprofLabels(m.pprofCtx)
-				}
-			}
+			pl.SetKernelStats(m.kstats)
+			pl.SetTimeline(m.timeline)
+			// The executor refines the model label with a per-shard
+			// ipu=<k> on its goroutines (idempotent per context, so
+			// repeating it every batch is free; nil is a no-op).
+			pl.SetPprofLabels(m.pprofCtx)
 			y, xerr := pl.Execute(x)
 			if xerr == nil {
 				// Copy out before returning the plan: responses alias rows
@@ -385,22 +373,6 @@ func (m *Model) runBatch(x *tensor.Matrix, info *execInfo) *tensor.Matrix {
 		}
 	}
 	return m.net.Infer(x)
-}
-
-// kernelSink is the per-kernel accounting hook both executor kinds
-// (nn.Plan, shard.ShardedPlan) expose.
-type kernelSink interface {
-	SetKernelStats(*obs.KernelStats)
-}
-
-// timelineSink is the flight-recorder hook both executor kinds expose.
-type timelineSink interface {
-	SetTimeline(*timeline.Recorder)
-}
-
-// pprofSink is the per-shard pprof label hook sharded executors expose.
-type pprofSink interface {
-	SetPprofLabels(context.Context)
 }
 
 // Timeline returns the model's BSP phase flight recorder (nil when

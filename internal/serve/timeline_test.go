@@ -149,6 +149,12 @@ func TestTimelineUnshardedNoBubble(t *testing.T) {
 		t.Fatalf("unsharded summary: shards=%d bubble=%g compute=%g, want 1 / 0 / 1",
 			sum.Shards, sum.BubbleFraction, sum.ComputeShare)
 	}
+	// One IPU has nothing to wait on and is not a partition: no barrier
+	// or exchange time, no strategy, no wavefront width.
+	if sum.BarrierShare != 0 || sum.ExchangeShare != 0 || sum.Strategy != "" || sum.MicroBatches != 0 {
+		t.Fatalf("unsharded summary: barrier=%g exchange=%g strategy=%q micro=%d, want 0 / 0 / \"\" / 0",
+			sum.BarrierShare, sum.ExchangeShare, sum.Strategy, sum.MicroBatches)
+	}
 }
 
 // TestTimelineDisabled: a negative sampling period turns the recorder

@@ -406,21 +406,6 @@ func classRate(topo Topology, cl ipu.ComputeClass) float64 {
 	return float64(topo.IPU.Tiles) * topo.IPU.ClassRate(cl) * topo.IPU.ClockHz
 }
 
-// PlanStepSeconds returns the modelled single-IPU duration of each step of
-// one batch of the unsharded plan (index-aligned with pl.Steps) — the same
-// per-class compute pricing estimateWith charges, without exchange. This
-// is the analytic baseline the serving layer's cost-model drift detector
-// lines the plan's measured LastStepNanos up against.
-func PlanStepSeconds(pl *nn.Plan, batch int, topo Topology) []float64 {
-	topo = topo.withDefaults()
-	descs, _ := describePlan(pl, batch)
-	out := make([]float64, len(descs))
-	for i, d := range descs {
-		out[i] = d.flops / classRate(topo, d.class)
-	}
-	return out
-}
-
 // modelledMicroPhases prices each lowered micro-step, split by BSP
 // phase: the source plan step's modelled compute under the strategy
 // (split across shards for tensor parallel, whole for pipeline) spread

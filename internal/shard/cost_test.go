@@ -143,8 +143,8 @@ func TestShardedPlanReportsCost(t *testing.T) {
 	if c.Shards != 4 || c.Batch != testMaxBatch {
 		t.Fatalf("cost header %+v", c)
 	}
-	if c.Strategy != sp.Strategy() {
-		t.Fatalf("cost strategy %v != plan strategy %v", c.Strategy, sp.Strategy())
+	if c.Strategy != sp.strategy {
+		t.Fatalf("cost strategy %v != plan strategy %v", c.Strategy, sp.strategy)
 	}
 	if c.PerIPUBytes <= 0 || c.LatencySecondsPerBatch <= 0 {
 		t.Fatalf("degenerate cost %+v", c)
@@ -152,11 +152,11 @@ func TestShardedPlanReportsCost(t *testing.T) {
 	// The butterfly's global stages must be visible as exchange steps.
 	found := false
 	for _, name := range sp.Steps() {
-		if sp.Strategy() == TensorParallel && contains(name, "+exchange") {
+		if sp.strategy == TensorParallel && contains(name, "+exchange") {
 			found = true
 		}
 	}
-	if sp.Strategy() == TensorParallel && !found {
+	if sp.strategy == TensorParallel && !found {
 		t.Error("tensor-parallel butterfly plan lists no exchange stages")
 	}
 }

@@ -16,14 +16,20 @@ import (
 // moves. The runners capture layer weights, not the source plan, so its
 // arenas do not stay resident behind the sharded plan's own. Activations
 // crossing a stage boundary ride one IPU-Link transfer in the cost model;
-// on the host they are already in the shared arena.
+// on the host they are already in the shared arena. At one shard this is
+// the identity placement, and step names carry no "@ipu0" suffix: a
+// single-IPU program's steps read exactly as the plan's own.
 func lowerPipeline(pl *nn.Plan, shards int) ([]step, error) {
 	owners := pipelineOwners(pl, shards)
 	steps := make([]step, pl.NumSteps())
 	names := pl.Steps()
 	for i := range steps {
+		name := names[i]
+		if shards > 1 {
+			name = fmt.Sprintf("%s@ipu%d", name, owners[i])
+		}
 		st := step{
-			name:    fmt.Sprintf("%s@ipu%d", names[i], owners[i]),
+			name:    name,
 			cols:    pl.StepCols(i),
 			src:     i,
 			variant: pl.StepVariant(i),

@@ -28,6 +28,12 @@
 // equal to nn.Plan.Execute at any shard count — while the per-IPU memory
 // and the exchange traffic of a real multi-chip run are priced
 // analytically by the Cost model.
+//
+// ShardedPlan is the one measured executor: step clocks, per-kernel
+// accounting, the phase timeline and pprof labels live here. A one-shard
+// ShardedPlan is the identity lowering (every plan step unchanged on IPU
+// 0, no worker goroutines) and is how single-IPU programs are served;
+// nn.Plan.Execute stays the plain reference executor.
 package shard
 
 import (
@@ -162,7 +168,7 @@ type engine struct {
 	// Modelled phase split of modelSec (compute + exchange == modelSec
 	// per micro-step): the timeline recorder uses the exchange half to
 	// decide whether a post-kernel gap is priced IPU-Link traffic or pure
-	// barrier skew, and the serving layer exports both as the modelled
+	// barrier skew, and TimelineMeta exports both as the modelled
 	// counterpart of the measured phase spans.
 	modelCompSec []float64
 	modelExchSec []float64
@@ -225,9 +231,9 @@ type engine struct {
 	stageEndNanos []int64
 }
 
-// ShardedPlan is a compiled multi-IPU inference program. Like nn.Plan it
-// owns its activation buffers and must not be used from two goroutines at
-// once; pool instances for concurrent serving.
+// ShardedPlan is a compiled inference program on one or more modelled
+// IPUs. Like nn.Plan it owns its activation buffers and must not be used
+// from two goroutines at once; pool instances for concurrent serving.
 type ShardedPlan struct {
 	e        *engine
 	topo     Topology
@@ -250,20 +256,16 @@ func Compile(pl *nn.Plan, topo Topology, shards int) (*ShardedPlan, error) {
 	return CompileMicro(pl, topo, shards, cost.Strategy, cost.MicroBatches)
 }
 
-// CompileWith is Compile with the partitioning strategy forced and the
-// classic one-batch barrier loop pinned — the hook the equivalence tests
-// use to cover both lowerings at every shard count.
-func CompileWith(pl *nn.Plan, topo Topology, shards int, strategy Strategy) (*ShardedPlan, error) {
-	return CompileMicro(pl, topo, shards, strategy, 1)
-}
-
-// CompileMicro is CompileWith with the pipeline wavefront width forced:
-// micro 0 lets the cost model pick, 1 pins the barrier loop, and micro
-// > 1 compiles the multi-micro-batch wavefront executor (pipeline
-// strategy with at least two effective stages; tensor-parallel plans
-// ignore micro). Execute stays bit-for-bit identical to nn.Plan.Execute
-// at every width — micro-batches are contiguous row slices and every
-// kernel is row-wise.
+// CompileMicro is Compile with the partitioning strategy and the pipeline
+// wavefront width forced: micro 0 lets the cost model pick, 1 pins the
+// classic one-batch barrier loop, and micro > 1 compiles the
+// multi-micro-batch wavefront executor (pipeline strategy with at least
+// two effective stages; tensor-parallel plans ignore micro). Execute stays
+// bit-for-bit identical to nn.Plan.Execute at every width — micro-batches
+// are contiguous row slices and every kernel is row-wise. The compiled
+// plan shares pl's lowered kernels and packed weight panels, so any
+// number of ShardedPlans (one per pooled worker) can be compiled from one
+// nn.Plan.
 func CompileMicro(pl *nn.Plan, topo Topology, shards int, strategy Strategy, micro int) (*ShardedPlan, error) {
 	topo = topo.withDefaults()
 	if shards < 1 || shards&(shards-1) != 0 {
@@ -314,14 +316,20 @@ func CompileMicro(pl *nn.Plan, topo Topology, shards int, strategy Strategy, mic
 	if strategy == Pipeline && cost.MicroBatches > 1 {
 		e.micro = cost.MicroBatches
 	}
-	maxW := 0
-	for _, st := range steps {
-		if st.cols > maxW {
-			maxW = st.cols
+	// The barrier loop ping-pongs step outputs between the two arenas by
+	// step parity, so each is sized to the widest step landing in it —
+	// as nn.Plan sizes its own, which keeps a one-shard program's arenas
+	// exactly the plan's.
+	wA, wB := 0, 0
+	for i, st := range steps {
+		if i%2 == 0 {
+			wA = max(wA, st.cols)
+		} else {
+			wB = max(wB, st.cols)
 		}
 	}
-	e.bufA = make([]float32, e.maxBatch*maxW)
-	e.bufB = make([]float32, e.maxBatch*maxW)
+	e.bufA = make([]float32, e.maxBatch*wA)
+	e.bufB = make([]float32, e.maxBatch*wB)
 	e.stepNanos = make([]int64, len(steps))
 	e.computeNanos = make([]int64, eff)
 
@@ -365,19 +373,23 @@ func CompileMicro(pl *nn.Plan, topo Topology, shards int, strategy Strategy, mic
 		go e.workerLoop(k, c)
 	}
 	p := &ShardedPlan{e: e, topo: topo, strategy: strategy, cost: cost}
-	// Workers park on their start channels; if the plan is dropped without
-	// Close (pooled plans are), the finalizer releases them.
-	runtime.SetFinalizer(p, func(sp *ShardedPlan) { sp.e.stop() })
+	if eff > 1 {
+		// Workers park on their start channels; if the plan is dropped
+		// without Close (pooled plans are), the finalizer releases them.
+		// A one-shard plan has no workers and no finalizer, so a dropped
+		// one is freed by the first collection that finds it unreachable.
+		runtime.SetFinalizer(p, func(sp *ShardedPlan) { sp.e.stop() })
+	}
 
-	// Two warm-up executions, as in nn.CompilePlan: the first records
-	// every per-shard workspace's demand, the second runs with the arenas
-	// at their exact steady-state size.
-	warm := tensor.New(e.maxBatch, e.in)
-	for i := 0; i < 2; i++ {
-		if _, err := p.Execute(warm); err != nil {
-			p.Close()
-			return nil, err
-		}
+	// One warm-up execution, as in nn.CompilePlan: it records every
+	// per-shard workspace's demand, and one more reset each grows the
+	// arenas to their exact steady-state size.
+	if _, err := p.Execute(tensor.New(e.maxBatch, e.in)); err != nil {
+		p.Close()
+		return nil, err
+	}
+	for _, w := range e.ws {
+		w.Reset()
 	}
 	return p, nil
 }
@@ -442,18 +454,6 @@ func (e *engine) buildWavefront() {
 	e.wfSrc = make([]tensor.Matrix, S)
 	e.stageEndNanos = make([]int64, S)
 }
-
-// Shards returns the number of modelled IPUs the plan runs on — for
-// pipeline plans, the effective stage count after clamping to the
-// plan's step count.
-func (p *ShardedPlan) Shards() int { return p.e.shards }
-
-// MicroBatches returns the wavefront width the plan executes full
-// batches at (1 = classic barrier loop).
-func (p *ShardedPlan) MicroBatches() int { return p.e.micro }
-
-// Strategy returns the partitioning the planner (or caller) chose.
-func (p *ShardedPlan) Strategy() Strategy { return p.strategy }
 
 // Cost returns the modelled per-IPU memory and exchange cost of one batch.
 func (p *ShardedPlan) Cost() Cost { return p.cost }
@@ -555,7 +555,7 @@ func (p *ShardedPlan) Execute(x *tensor.Matrix) (*tensor.Matrix, error) {
 			rows := int64(x.Rows)
 			e.kstats.Record(e.kern[i], rows*e.flopsPerRow[i], rows*e.bytesPerRow[i], e.stepNanos[i])
 		}
-		if tb != nil {
+		if tb != nil && e.shards > 1 {
 			e.recordStepGaps(tb, i, t0.Sub(execStart).Nanoseconds(), e.stepNanos[i])
 		}
 		cur = act
@@ -579,7 +579,8 @@ func (p *ShardedPlan) Execute(x *tensor.Matrix) (*tensor.Matrix, error) {
 // kernel's return and the barrier's close — exchange when the cost model
 // prices IPU-Link traffic into this micro-step, barrier_wait otherwise.
 // The barrier's done-tokens order the workers' compute-span writes
-// before these reads.
+// before these reads. Multi-shard plans only: one shard has nothing to
+// wait on, so its timeline is its compute spans alone.
 func (e *engine) recordStepGaps(tb *timeline.Batch, i int, stepOff, stepDur int64) {
 	st := &e.steps[i]
 	gapPhase := timeline.BarrierWait
@@ -802,12 +803,40 @@ func (p *ShardedPlan) SetPprofLabels(base context.Context) {
 	e.pprofCtxs = ctxs
 }
 
-// ModelledPhaseSeconds returns the modelled per-micro-step seconds of
-// one MaxBatch execution split by BSP phase (compute, exchange);
-// element-wise they sum to ModelledStepSeconds. Slices are plan-owned —
-// copy to modify.
-func (p *ShardedPlan) ModelledPhaseSeconds() (compute, exchange []float64) {
-	return p.e.modelCompSec, p.e.modelExchSec
+// TimelineMeta describes the plan to a flight recorder: micro-step names,
+// kernel families, variants and the cost model's per-row modelled phase
+// seconds. A one-shard plan is a single-IPU program, not a partition, so
+// its meta carries no strategy, wavefront width or exchange pricing.
+func (p *ShardedPlan) TimelineMeta(model string) *timeline.Meta {
+	e := p.e
+	kernels := make([]string, len(e.kern))
+	for i, k := range e.kern {
+		kernels[i] = k.String()
+	}
+	inv := 1 / float64(e.maxBatch)
+	m := &timeline.Meta{
+		Model:            model,
+		Shards:           e.shards,
+		Steps:            p.Steps(),
+		Kernels:          kernels,
+		Variants:         p.StepVariants(),
+		ComputeSecPerRow: scaled(e.modelCompSec, inv),
+	}
+	if e.shards > 1 {
+		m.Strategy = p.strategy.String()
+		m.MicroBatches = e.micro
+		m.ExchangeSecPerRow = scaled(e.modelExchSec, inv)
+	}
+	return m
+}
+
+// scaled returns v element-wise multiplied by s, as a fresh slice.
+func scaled(v []float64, s float64) []float64 {
+	out := make([]float64, len(v))
+	for i, x := range v {
+		out[i] = x * s
+	}
+	return out
 }
 
 // ModelledStepSeconds returns the modelled duration of each micro-step of

@@ -39,9 +39,9 @@ func TestShardedMatchesPlanAllMethods(t *testing.T) {
 					strategies = append(strategies, TensorParallel)
 				}
 				for _, strat := range strategies {
-					sp, err := CompileWith(pl, topo, shards, strat)
+					sp, err := CompileMicro(pl, topo, shards, strat, 1)
 					if err != nil {
-						t.Fatalf("CompileWith(%d, %v): %v", shards, strat, err)
+						t.Fatalf("CompileMicro(%d, %v): %v", shards, strat, err)
 					}
 					for _, batch := range []int{1, 3, testMaxBatch} {
 						x := tensor.New(batch, testN)
@@ -103,7 +103,7 @@ func TestShardedMatchesPlanCompressed(t *testing.T) {
 // or shards.
 func TestShardedRepeatedExecuteIsStable(t *testing.T) {
 	_, pl := buildPlan(t, nn.Butterfly, 21)
-	sp, err := CompileWith(pl, DefaultTopology(4), 4, TensorParallel)
+	sp, err := CompileMicro(pl, DefaultTopology(4), 4, TensorParallel, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,7 +150,7 @@ func TestShardedErrors(t *testing.T) {
 	}
 	// Fastfood cannot tensor-parallel split; forcing it must fail cleanly.
 	_, fp := buildPlan(t, nn.Fastfood, 2)
-	if _, err := CompileWith(fp, topo, 2, TensorParallel); err == nil {
+	if _, err := CompileMicro(fp, topo, 2, TensorParallel, 1); err == nil {
 		t.Error("forcing tensor-parallel on fastfood should fail")
 	}
 }
@@ -164,7 +164,7 @@ func TestShardedZeroAllocSteadyState(t *testing.T) {
 		t.Run(method.String(), func(t *testing.T) {
 			_, pl := buildPlan(t, method, 17)
 			for _, shards := range []int{2, 4} {
-				sp, err := CompileWith(pl, DefaultTopology(4), shards, TensorParallel)
+				sp, err := CompileMicro(pl, DefaultTopology(4), shards, TensorParallel, 1)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -270,8 +270,8 @@ func TestPipelineStageClamp(t *testing.T) {
 		if err != nil {
 			t.Fatalf("CompileMicro(8, %d): %v", micro, err)
 		}
-		if sp.Shards() != 3 {
-			t.Errorf("micro=%d: Shards() = %d, want 3 (clamped to step count)", micro, sp.Shards())
+		if sp.e.shards != 3 {
+			t.Errorf("micro=%d: engine runs %d shards, want 3 (clamped to step count)", micro, sp.e.shards)
 		}
 		if sp.Cost().PipelineStages != 3 {
 			t.Errorf("micro=%d: Cost().PipelineStages = %d, want 3", micro, sp.Cost().PipelineStages)
@@ -362,5 +362,61 @@ func BenchmarkShardedPredict(b *testing.B) {
 				}
 			})
 		}
+	}
+}
+
+// TestWarmFootprint pins the single warm-up at compile: every per-shard
+// workspace's footprint right after CompileMicro already equals its
+// footprint after three more MaxBatch executions, at 1, 2 and 4 shards,
+// under both strategies, on the barrier loop and the wavefront.
+func TestWarmFootprint(t *testing.T) {
+	topo := DefaultTopology(4)
+	for _, method := range []nn.Method{nn.Butterfly, nn.Pixelfly, nn.LowRank} {
+		_, pl := buildPlan(t, method, 41)
+		x := tensor.New(testMaxBatch, testN)
+		x.FillRandom(rand.New(rand.NewSource(42)), 1)
+		for _, shards := range []int{1, 2, 4} {
+			for _, strat := range []Strategy{Pipeline, TensorParallel} {
+				for _, micro := range []int{1, 4} {
+					sp, err := CompileMicro(pl, topo, shards, strat, micro)
+					if err != nil {
+						t.Fatalf("%v %d %v micro=%d: %v", method, shards, strat, micro, err)
+					}
+					warm := make([]int, len(sp.e.ws))
+					for k, w := range sp.e.ws {
+						warm[k] = w.FootprintBytes()
+					}
+					for i := 0; i < 3; i++ {
+						if _, err := sp.Execute(x); err != nil {
+							t.Fatal(err)
+						}
+					}
+					for k, w := range sp.e.ws {
+						if got := w.FootprintBytes(); got != warm[k] {
+							t.Errorf("%v %d %v micro=%d ipu%d: workspace %d bytes after compile, %d after 3 executions",
+								method, shards, strat, micro, k, warm[k], got)
+						}
+					}
+					sp.Close()
+				}
+			}
+		}
+	}
+}
+
+// TestOneShardArenasMatchPlan pins that a one-shard program sizes its
+// ping-pong arenas by step parity exactly as nn.Plan does, so the plan's
+// reported ArenaBytes is true of the executor that serves it.
+func TestOneShardArenasMatchPlan(t *testing.T) {
+	for _, method := range nn.AllMethods {
+		_, pl := buildPlan(t, method, 43)
+		sp, err := CompileMicro(pl, DefaultTopology(1), 1, Pipeline, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := 4*(len(sp.e.bufA)+len(sp.e.bufB)), pl.Stats().ArenaBytes; got != want {
+			t.Errorf("%v: one-shard arenas %d bytes, plan reports %d", method, got, want)
+		}
+		sp.Close()
 	}
 }

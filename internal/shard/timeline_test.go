@@ -2,9 +2,11 @@ package shard
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 
 	"repro/internal/nn"
+	"repro/internal/obs"
 	"repro/internal/obs/timeline"
 	"repro/internal/tensor"
 )
@@ -32,9 +34,9 @@ func executeSampled(t *testing.T, sp *ShardedPlan, rec *timeline.Recorder) timel
 func TestTimelineReconcilesWithMeasuredClocks(t *testing.T) {
 	_, pl := buildPlan(t, nn.Butterfly, 31)
 	for _, strat := range []Strategy{TensorParallel, Pipeline} {
-		sp, err := CompileWith(pl, DefaultTopology(4), 2, strat)
+		sp, err := CompileMicro(pl, DefaultTopology(4), 2, strat, 1)
 		if err != nil {
-			t.Fatalf("CompileWith(%v): %v", strat, err)
+			t.Fatalf("CompileMicro(%v): %v", strat, err)
 		}
 		rec := timeline.NewRecorder(1, 2)
 		sp.SetTimeline(rec)
@@ -72,7 +74,7 @@ func TestTimelineReconcilesWithMeasuredClocks(t *testing.T) {
 func TestTimelineBubblesOnlyUnderPipeline(t *testing.T) {
 	_, pl := buildPlan(t, nn.Baseline, 13)
 
-	tp, err := CompileWith(pl, DefaultTopology(4), 2, TensorParallel)
+	tp, err := CompileMicro(pl, DefaultTopology(4), 2, TensorParallel, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +91,7 @@ func TestTimelineBubblesOnlyUnderPipeline(t *testing.T) {
 	}
 	tp.Close()
 
-	pp, err := CompileWith(pl, DefaultTopology(4), 2, Pipeline)
+	pp, err := CompileMicro(pl, DefaultTopology(4), 2, Pipeline, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,44 +172,56 @@ func TestWavefrontTimeline(t *testing.T) {
 }
 
 // TestShardedTimelineAllocFree extends the zero-alloc steady-state
-// contract to a worst-case recorder: sampling every batch, with pprof
-// labels pinned, Execute still allocates nothing after warm-up.
+// contract to a worst-case recorder: sampling every batch, with kernel
+// accounting and pprof labels installed, Execute still allocates nothing
+// after warm-up — on one shard (how single-IPU programs are served) and
+// on two.
 func TestShardedTimelineAllocFree(t *testing.T) {
 	_, pl := buildPlan(t, nn.Butterfly, 17)
-	sp, err := CompileWith(pl, DefaultTopology(4), 2, TensorParallel)
+	for _, shards := range []int{1, 2} {
+		sp, err := CompileMicro(pl, DefaultTopology(4), shards, TensorParallel, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec := timeline.NewRecorder(1, 2)
+		sp.SetTimeline(rec)
+		sp.SetKernelStats(obs.NewKernelStats())
+		sp.SetPprofLabels(t.Context())
+		x := tensor.New(testMaxBatch, testN)
+		x.FillRandom(rand.New(rand.NewSource(18)), 1)
+		// Warm: fill the ring and the batch pool to steady state.
+		for i := 0; i < 4; i++ {
+			if _, err := sp.Execute(x); err != nil {
+				t.Fatal(err)
+			}
+		}
+		avg := testing.AllocsPerRun(20, func() { sp.Execute(x) })
+		if avg != 0 {
+			t.Errorf("%d shards: Execute with recorder+stats+labels allocates %.1f objects per run, want 0", shards, avg)
+		}
+		if tot := rec.Totals(); tot.Batches < 20 {
+			t.Fatalf("%d shards: recorder only saw %d batches — sampling did not run", shards, tot.Batches)
+		}
+		sp.Close()
+	}
+}
+
+// TestPlanTimeline covers the single-IPU executor: a one-shard plan
+// records one compute span per step on one track, named as the plan's own
+// steps, with no exchange, barrier or bubble events (there is nothing to
+// wait on), and the spans sum to the executor's measured compute.
+func TestPlanTimeline(t *testing.T) {
+	_, pl := buildPlan(t, nn.Baseline, 23)
+	sp, err := CompileMicro(pl, DefaultTopology(1), 1, Pipeline, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer sp.Close()
 	rec := timeline.NewRecorder(1, 2)
 	sp.SetTimeline(rec)
-	sp.SetPprofLabels(t.Context())
-	x := tensor.New(testMaxBatch, testN)
-	x.FillRandom(rand.New(rand.NewSource(18)), 1)
-	// Warm: fill the ring and the batch pool to steady state.
-	for i := 0; i < 4; i++ {
-		if _, err := sp.Execute(x); err != nil {
-			t.Fatal(err)
-		}
-	}
-	avg := testing.AllocsPerRun(20, func() { sp.Execute(x) })
-	if avg != 0 {
-		t.Errorf("Execute with recorder+labels allocates %.1f objects per run, want 0", avg)
-	}
-	if tot := rec.Totals(); tot.Batches < 20 {
-		t.Fatalf("recorder only saw %d batches — sampling did not run", tot.Batches)
-	}
-}
-
-// TestPlanTimeline covers the single-IPU executor: nn.Plan lays its
-// measured step clocks back-to-back on one compute track.
-func TestPlanTimeline(t *testing.T) {
-	_, pl := buildPlan(t, nn.Baseline, 23)
-	rec := timeline.NewRecorder(1, 2)
-	pl.SetTimeline(rec)
 	x := tensor.New(testMaxBatch, testN)
 	x.FillRandom(rand.New(rand.NewSource(24)), 1)
-	if _, err := pl.Execute(x); err != nil {
+	if _, err := sp.Execute(x); err != nil {
 		t.Fatal(err)
 	}
 	snap := rec.Snapshot()
@@ -219,21 +233,28 @@ func TestPlanTimeline(t *testing.T) {
 		t.Fatalf("batch is %d tracks × %d steps with %d events, want 1 × %d with %d",
 			b.Tracks, b.Steps, len(b.Events), pl.NumSteps(), pl.NumSteps())
 	}
-	var off, total int64
+	if got, want := strings.Join(sp.Steps(), ","), strings.Join(pl.Steps(), ","); got != want {
+		t.Fatalf("one-shard steps %q, want the plan's %q", got, want)
+	}
+	var end, total int64
 	for i, ev := range b.Events {
-		if ev.Phase != timeline.Compute || ev.IPU != 0 {
-			t.Fatalf("event %d: %+v, want compute on ipu0", i, ev)
+		if ev.Phase != timeline.Compute || ev.IPU != 0 || int(ev.Step) != i {
+			t.Fatalf("event %d: %+v, want compute of step %d on ipu0", i, ev, i)
 		}
-		if ev.StartNanos != off {
-			t.Fatalf("event %d starts at %dns, want back-to-back at %dns", i, ev.StartNanos, off)
+		if ev.StartNanos < end {
+			t.Fatalf("event %d starts at %dns, before the previous span ends at %dns", i, ev.StartNanos, end)
 		}
-		if want := pl.LastStepNanos()[i]; ev.DurNanos != want {
-			t.Fatalf("event %d duration %dns, want LastStepNanos %dns", i, ev.DurNanos, want)
-		}
-		off += ev.DurNanos
+		end = ev.StartNanos + ev.DurNanos
 		total += ev.DurNanos
 	}
-	if b.WallNanos != total {
-		t.Fatalf("batch wall %dns, want summed step clocks %dns", b.WallNanos, total)
+	if want := sp.LastComputeNanos()[0]; total != want {
+		t.Fatalf("compute events sum to %dns, LastComputeNanos says %dns", total, want)
+	}
+	if end > b.WallNanos {
+		t.Fatalf("last span ends at %dns, past the %dns batch wall", end, b.WallNanos)
+	}
+	meta := sp.TimelineMeta("m")
+	if meta.Strategy != "" || meta.Shards != 1 || meta.MicroBatches != 0 || meta.ExchangeSecPerRow != nil {
+		t.Fatalf("one-shard meta = %+v, want 1 shard, no strategy, micro or exchange", meta)
 	}
 }
